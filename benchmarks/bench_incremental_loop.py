@@ -13,23 +13,8 @@ learning iterations) and on the multi-legacy front+rear workload.
 ``test_incremental_speedup_over_full_recompose`` asserts the headline
 claim: at least a 3x total-loop speedup at identical verdicts.
 
-The sharded variants exercise the ``parallelism=`` knob: since this
-machinery took over the product re-exploration, the sequential path
-*is* the ``K=1`` direct shard call, so the 3x floor above doubles as
-the K=1 no-regression guard; ``test_sharded_loop_k1_no_regression``
-additionally compares K=1 against the default path round by round, and
-``test_sharded_loop_k4_speedup_report`` reports the measured K=4 ratio
-honestly (on a single-core GIL-bound runner it can be below 1 — the
-point of sharding here is determinism plus scaling headroom, which the
-report records rather than asserts).
-
-The ``checker_sharded`` variants do the same for the *checker fixpoint*
-sharding knob (``checker_parallelism=``): K=1 must not regress the
-sequential solvers, and the K=4 ratio is measured and recorded with the
-product sharding pinned at 1 so the checker contribution is isolated.
-
-The ``tracing_overhead`` guard does the same for the observability
-layer (``repro.obs``): the instrumentation is permanent, so the
+The ``tracing_overhead`` guard covers the observability layer
+(``repro.obs``): the instrumentation is permanent, so the
 ``NullTracer`` cost is measured as span-count × per-null-call cost
 (there is no un-instrumented loop to diff against) and must stay below
 1% of loop time; a live JSONL-streaming tracer must stay within 10%.
@@ -73,8 +58,6 @@ def _convoy_synthesizer(
     *,
     incremental: bool,
     ticks: int,
-    parallelism: int | None = None,
-    checker_parallelism: int | None = None,
     tracer=None,
     flight=None,
 ) -> IntegrationSynthesizer:
@@ -86,8 +69,6 @@ def _convoy_synthesizer(
         port="rearRole",
         settings=SynthesisSettings(
             incremental=incremental,
-            parallelism=parallelism,
-            checker_parallelism=checker_parallelism,
             tracer=tracer,
             flight_recorder=flight,
         ),
@@ -120,15 +101,6 @@ def _loop_extra_info(result) -> dict:
         "closure_groups_rebuilt": sum(r.closure_groups_rebuilt for r in result.iterations),
         "dirty_states_total": sum(r.dirty_states for r in result.iterations),
         "affected_states_total": sum(r.affected_states for r in result.iterations),
-        "product_shards": max((r.product_shards for r in result.iterations), default=0),
-        "shard_handoffs_total": sum(r.product_shard_handoffs for r in result.iterations),
-        "shard_merge_conflicts_total": sum(
-            r.product_shard_merge_conflicts for r in result.iterations
-        ),
-        "checker_shards": max((r.checker_shards for r in result.iterations), default=1),
-        "checker_shard_handoffs_total": sum(
-            r.checker_shard_handoffs for r in result.iterations
-        ),
     }
 
 
@@ -207,227 +179,6 @@ def test_incremental_speedup_over_full_recompose(benchmark):
     )
 
 
-def test_sharded_loop_k1_no_regression(benchmark):
-    """The K=1 sharded path must not regress the sequential loop.
-
-    Both sides run the identical convoy loop; the "sequential" side is
-    the default path (``parallelism=None`` → 1), the "sharded" side
-    forces ``parallelism=1`` explicitly.  Besides bit-identical results,
-    the no-regression claim is asserted on the *best paired round*: a
-    real K=1 overhead would slow every round, so at least one round in
-    which the sharded side is at least as fast refutes a regression
-    without gating on scheduler noise (the min-based ratio is recorded
-    for the report).
-    """
-
-    def measure():
-        default_times: list[float] = []
-        k1_times: list[float] = []
-        results = {}
-        for _ in range(5):
-            t0 = time.perf_counter()
-            results["default"] = _convoy_synthesizer(
-                incremental=True, ticks=QUICK_TICKS
-            ).run()
-            default_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            results["k1"] = _convoy_synthesizer(
-                incremental=True, ticks=QUICK_TICKS, parallelism=1
-            ).run()
-            k1_times.append(time.perf_counter() - t0)
-        return results, default_times, k1_times
-
-    results, default_times, k1_times = benchmark.pedantic(measure, rounds=1, iterations=1)
-    default, k1 = results["default"], results["k1"]
-    assert default.verdict is k1.verdict is Verdict.PROVEN
-    assert default.iteration_count == k1.iteration_count
-    assert default.final_model == k1.final_model
-    assert all(r.product_shards == 1 for r in k1.iterations)
-
-    best_paired = max(d / s for d, s in zip(default_times, k1_times))
-    ratio_min = min(default_times) / min(k1_times)
-    benchmark.extra_info.update(
-        {
-            "mode": "sharded_k1",
-            "convoy_ticks": QUICK_TICKS,
-            "iterations": k1.iteration_count,
-            "k1_vs_sequential_best_paired": best_paired,
-            "k1_vs_sequential_min_ratio": ratio_min,
-        }
-    )
-    assert best_paired >= 1.0, (
-        f"K=1 sharded loop slower than the sequential path in every round "
-        f"(best paired ratio {best_paired:.3f})"
-    )
-
-
-def test_sharded_loop_k4_speedup_report(benchmark):
-    """Measure and report the K=4 loop ratio against K=1 (no floor).
-
-    Results must be bit-identical; the wall-time ratio is recorded for
-    the report.  On a multi-core runner thread shards overlap cache
-    misses; on a single-core one the ratio can dip below 1 — either way
-    the number lands in ``BENCH_loop.json`` rather than a flaky assert.
-    """
-
-    def measure():
-        k1_times: list[float] = []
-        k4_times: list[float] = []
-        results = {}
-        for _ in range(5):
-            t0 = time.perf_counter()
-            results["k1"] = _convoy_synthesizer(
-                incremental=True, ticks=QUICK_TICKS, parallelism=1
-            ).run()
-            k1_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            results["k4"] = _convoy_synthesizer(
-                incremental=True, ticks=QUICK_TICKS, parallelism=4
-            ).run()
-            k4_times.append(time.perf_counter() - t0)
-        return results, k1_times, k4_times
-
-    results, k1_times, k4_times = benchmark.pedantic(measure, rounds=1, iterations=1)
-    k1, k4 = results["k1"], results["k4"]
-    assert k1.verdict is k4.verdict is Verdict.PROVEN
-    assert k1.iteration_count == k4.iteration_count
-    assert k1.final_model == k4.final_model
-    assert k1.final_closure == k4.final_closure
-    assert all(r.product_shards == 4 for r in k4.iterations)
-    for a, b in zip(k1.iterations, k4.iterations):
-        assert a.counterexample == b.counterexample
-        assert (a.product_hits, a.product_misses) == (b.product_hits, b.product_misses)
-        assert sum(b.product_shard_states_explored) == b.product_hits + b.product_misses
-
-    benchmark.extra_info.update(
-        {
-            "mode": "sharded_k4",
-            "convoy_ticks": QUICK_TICKS,
-            "iterations": k4.iteration_count,
-            "k4_vs_k1_speedup_min": min(k1_times) / min(k4_times),
-            "k4_vs_k1_speedup_median": statistics.median(k1_times)
-            / statistics.median(k4_times),
-            "k1_loop_seconds_min": min(k1_times),
-            "k4_loop_seconds_min": min(k4_times),
-            "shard_handoffs_total": sum(r.product_shard_handoffs for r in k4.iterations),
-            "shard_merge_conflicts_total": sum(
-                r.product_shard_merge_conflicts for r in k4.iterations
-            ),
-        }
-    )
-
-
-def test_checker_sharded_loop_k1_no_regression(benchmark):
-    """The K=1 sharded checker must not regress the sequential solvers.
-
-    Product sharding is pinned at 1 on both sides so the comparison
-    isolates the checker dispatch (``checker_parallelism=None`` → the
-    plain sequential worklists vs an explicit ``checker_parallelism=1``,
-    which takes the same sequential code path through the dispatch
-    check).  Same best-paired-round acceptance as the product variant.
-    """
-
-    def measure():
-        default_times: list[float] = []
-        k1_times: list[float] = []
-        results = {}
-        for _ in range(5):
-            t0 = time.perf_counter()
-            results["default"] = _convoy_synthesizer(
-                incremental=True, ticks=QUICK_TICKS, parallelism=1
-            ).run()
-            default_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            results["k1"] = _convoy_synthesizer(
-                incremental=True, ticks=QUICK_TICKS, parallelism=1, checker_parallelism=1
-            ).run()
-            k1_times.append(time.perf_counter() - t0)
-        return results, default_times, k1_times
-
-    results, default_times, k1_times = benchmark.pedantic(measure, rounds=1, iterations=1)
-    default, k1 = results["default"], results["k1"]
-    assert default.verdict is k1.verdict is Verdict.PROVEN
-    assert default.iteration_count == k1.iteration_count
-    assert default.final_model == k1.final_model
-    assert all(r.checker_shards == 1 for r in k1.iterations)
-    for a, b in zip(default.iterations, k1.iterations):
-        assert a.checker_fixpoint_work == b.checker_fixpoint_work
-
-    best_paired = max(d / s for d, s in zip(default_times, k1_times))
-    ratio_min = min(default_times) / min(k1_times)
-    benchmark.extra_info.update(
-        {
-            "mode": "checker_sharded_k1",
-            "convoy_ticks": QUICK_TICKS,
-            "iterations": k1.iteration_count,
-            "k1_vs_sequential_best_paired": best_paired,
-            "k1_vs_sequential_min_ratio": ratio_min,
-        }
-    )
-    assert best_paired >= 1.0, (
-        f"K=1 sharded checker slower than the sequential solvers in every round "
-        f"(best paired ratio {best_paired:.3f})"
-    )
-
-
-def test_checker_sharded_loop_k4_speedup_report(benchmark):
-    """Measure and report the checker K=4 loop ratio against K=1 (no floor).
-
-    Product sharding stays at 1 on both sides; only the checker fixpoint
-    sharding differs.  Results must be bit-identical — including the
-    total fixpoint work, which the round-based handoff protocol conserves
-    exactly — and the wall-time ratio lands in ``BENCH_loop.json``.
-    """
-
-    def measure():
-        k1_times: list[float] = []
-        k4_times: list[float] = []
-        results = {}
-        for _ in range(5):
-            t0 = time.perf_counter()
-            results["k1"] = _convoy_synthesizer(
-                incremental=True, ticks=QUICK_TICKS, parallelism=1, checker_parallelism=1
-            ).run()
-            k1_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            results["k4"] = _convoy_synthesizer(
-                incremental=True, ticks=QUICK_TICKS, parallelism=1, checker_parallelism=4
-            ).run()
-            k4_times.append(time.perf_counter() - t0)
-        return results, k1_times, k4_times
-
-    results, k1_times, k4_times = benchmark.pedantic(measure, rounds=1, iterations=1)
-    k1, k4 = results["k1"], results["k4"]
-    assert k1.verdict is k4.verdict is Verdict.PROVEN
-    assert k1.iteration_count == k4.iteration_count
-    assert k1.final_model == k4.final_model
-    assert k1.final_closure == k4.final_closure
-    assert all(r.checker_shards == 4 for r in k4.iterations)
-    for a, b in zip(k1.iterations, k4.iterations):
-        assert a.counterexample == b.counterexample
-        assert a.checker_fixpoint_work == b.checker_fixpoint_work
-        assert sum(b.checker_shard_fixpoint_work) == b.checker_fixpoint_work
-
-    benchmark.extra_info.update(
-        {
-            "mode": "checker_sharded_k4",
-            "convoy_ticks": QUICK_TICKS,
-            "iterations": k4.iteration_count,
-            "k4_vs_k1_speedup_min": min(k1_times) / min(k4_times),
-            "k4_vs_k1_speedup_median": statistics.median(k1_times)
-            / statistics.median(k4_times),
-            "k1_loop_seconds_min": min(k1_times),
-            "k4_loop_seconds_min": min(k4_times),
-            "checker_shard_handoffs_total": sum(
-                r.checker_shard_handoffs for r in k4.iterations
-            ),
-            "checker_fixpoint_work_total": sum(
-                r.checker_fixpoint_work for r in k4.iterations
-            ),
-        }
-    )
-
-
 #: Ceilings asserted by :func:`test_tracing_overhead_guard`.
 NULL_TRACER_OVERHEAD_CEILING = 0.01
 JSONL_TRACER_OVERHEAD_CEILING = 0.10
@@ -454,8 +205,7 @@ def test_tracing_overhead_guard(benchmark):
     written to a real file handle) must stay below 10%.
 
     The end-to-end paired null-vs-streaming loop times are recorded in
-    ``BENCH_loop.json`` alongside, but — like the K=4 shard ratios —
-    only sanity-bounded, not gated at the ceiling: on a shared runner
+    ``BENCH_loop.json`` alongside, but only sanity-bounded, not gated at the ceiling: on a shared runner
     the round-to-round wall-clock noise of a sub-second loop exceeds
     the single-digit overhead being measured.
     """

@@ -104,7 +104,7 @@ from .errors import (
     TestTimeoutError,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "automata",

@@ -32,8 +32,7 @@ def _settings(args: argparse.Namespace) -> SynthesisSettings:
     """The one place CLI flags (and their env fallbacks) become settings.
 
     Flags left at their defaults defer to the environment knobs
-    (``REPRO_PARALLELISM``, ``REPRO_CHECKER_PARALLELISM``,
-    ``REPRO_TRACE``, ``REPRO_TEST_RETRIES``, ``REPRO_FAULT_SEED``,
+    (``REPRO_TRACE``, ``REPRO_TEST_RETRIES``, ``REPRO_FAULT_SEED``,
     ``REPRO_REMOTE``) inside :class:`SynthesisSettings` resolution.
     """
     tracer = None
@@ -90,11 +89,6 @@ def _settings(args: argparse.Namespace) -> SynthesisSettings:
         max_iterations=getattr(args, "max_iterations", None),
         counterexamples_per_iteration=getattr(args, "counterexamples", 1),
         incremental=not getattr(args, "no_incremental", False),
-        parallelism=getattr(args, "parallelism", None),
-        checker_parallelism=getattr(args, "checker_parallelism", None),
-        dense=getattr(args, "dense", None),
-        dense_product=getattr(args, "dense_product", None),
-        product_strategy=getattr(args, "product_strategy", None),
         retry_policy=retry_policy,
         fault_profile=fault_profile,
         remote=remote,
@@ -130,44 +124,6 @@ def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--no-incremental", action="store_true",
         help="rebuild closures/product/checker from scratch every iteration",
-    )
-    group.add_argument(
-        "--parallelism", type=int, default=None, metavar="K",
-        help="shard the product re-exploration across K shards "
-        "(default: $REPRO_PARALLELISM or 1; results are identical)",
-    )
-    group.add_argument(
-        "--checker-parallelism", type=int, default=None, metavar="K",
-        help="shard the model checker's fixpoints across K shards "
-        "(default: $REPRO_CHECKER_PARALLELISM, then --parallelism; "
-        "results are identical)",
-    )
-    group.add_argument(
-        "--dense", dest="dense", action="store_true", default=None,
-        help="force the checker's dense integer-indexed fixpoint core "
-        "(default: automatic by product size, or $REPRO_DENSE; "
-        "results are identical — see docs/performance.md)",
-    )
-    group.add_argument(
-        "--no-dense", dest="dense", action="store_false",
-        help="force the legacy dict/set fixpoint solvers",
-    )
-    group.add_argument(
-        "--dense-product", dest="dense_product", action="store_true", default=None,
-        help="force the product BFS over interned ids and flat shard "
-        "frontiers (default: automatic by estimated joint size, or "
-        "$REPRO_DENSE_PRODUCT; results are identical)",
-    )
-    group.add_argument(
-        "--no-dense-product", dest="dense_product", action="store_false",
-        help="force the legacy dict-cache product exploration",
-    )
-    group.add_argument(
-        "--product-strategy", dest="product_strategy", default=None,
-        choices=("sequential", "thread", "process"), metavar="STRATEGY",
-        help="force how product shard workers run: sequential, thread, or "
-        "process (default: $REPRO_PRODUCT_STRATEGY, then automatic "
-        "workload-based selection; results are identical)",
     )
     group.add_argument(
         "--test-retries", type=int, default=None, metavar="N",

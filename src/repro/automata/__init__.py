@@ -41,16 +41,6 @@ from .incremental import (
     VerificationStep,
 )
 from .interaction import IDLE, Interaction, InteractionUniverse
-from .interning import (
-    DENSE_ENV,
-    DENSE_PRODUCT_ENV,
-    DenseGraph,
-    HAVE_NUMPY,
-    StateInterner,
-    resolve_dense,
-    resolve_dense_product,
-    shard_of_id,
-)
 from .refinement import (
     chaos_tolerant_labels,
     exact_labels,
@@ -60,20 +50,7 @@ from .refinement import (
     simulation_relation,
 )
 from .runs import Run, Trace, enumerate_runs, enumerate_traces, run_of_transitions
-from .sharding import (
-    CHECKER_PARALLELISM_ENV,
-    PARALLELISM_ENV,
-    PRODUCT_STRATEGY_ENV,
-    ShardCrew,
-    ShardReport,
-    WorkerPool,
-    get_pool,
-    resolve_checker_parallelism,
-    resolve_parallelism,
-    resolve_product_strategy,
-    select_strategy,
-    shard_of,
-)
+from .sharding import WorkerPool, get_pool
 from .transform import complete, hide, minimize, pad_states, rename_signals, restrict
 
 __all__ = [
@@ -121,26 +98,8 @@ __all__ = [
     "IncrementalVerifier",
     "ProductUpdate",
     "VerificationStep",
-    "CHECKER_PARALLELISM_ENV",
-    "DENSE_ENV",
-    "DENSE_PRODUCT_ENV",
-    "DenseGraph",
-    "HAVE_NUMPY",
-    "PARALLELISM_ENV",
-    "PRODUCT_STRATEGY_ENV",
-    "StateInterner",
-    "resolve_checker_parallelism",
-    "resolve_dense",
-    "resolve_dense_product",
-    "shard_of_id",
-    "ShardCrew",
-    "ShardReport",
     "WorkerPool",
     "get_pool",
-    "resolve_parallelism",
-    "resolve_product_strategy",
-    "select_strategy",
-    "shard_of",
     "is_chaos_state",
     "closure_base_state",
     "run_stays_in_learned_part",

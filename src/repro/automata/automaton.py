@@ -288,7 +288,7 @@ class Automaton:
             # order; concatenating them by source repr restores it.
             # Distinct sources can share a repr, and breaking such a tie
             # by dict insertion order would leak construction history
-            # (e.g. sequential vs. sharded exploration) into the
+            # (e.g. the product's exploration order) into the
             # canonical order — so tied groups are merged and re-sorted
             # by the full transition key instead.
             sources = sorted(self._by_source, key=repr)

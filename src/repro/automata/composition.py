@@ -28,11 +28,7 @@ unreachable state combinations are never materialised (the paper's
 combinations and transitions").
 
 Joint states are plain tuples of component states, hashed and compared
-structurally.  That cost is paid once per state: downstream, the model
-checker interns every joint state to a contiguous integer id
-(:class:`~repro.automata.interning.StateInterner`) and runs its
-fixpoints over flat arrays, so composite-state hashing never sits on
-the verification hot path.
+structurally.
 """
 
 from __future__ import annotations
@@ -79,32 +75,12 @@ def _matches(
     )
 
 
-def _sharded_product(
-    components: Sequence[Automaton],
-    semantics: Semantics,
-    name: str,
-    parallelism: int,
-) -> Automaton:
-    """One-shot sharded exploration (used when ``parallelism > 1``)."""
-    # Imported lazily: ``incremental`` imports this module for the
-    # validate/fallback path, so the dependency must stay one-way at
-    # import time.
-    from .incremental import IncrementalProduct
-
-    product = IncrementalProduct(semantics=semantics, parallelism=parallelism)
-    update = product.update(
-        components, [frozenset()] * len(components), name=name
-    )
-    return update.automaton
-
-
 def compose(
     first: Automaton,
     second: Automaton,
     *,
     semantics: Semantics = "strict",
     name: str | None = None,
-    parallelism: int | None = None,
     _flatten_left: bool = False,
 ) -> Automaton:
     """The parallel composition ``first ∥ second`` of Definition 3.
@@ -112,11 +88,6 @@ def compose(
     States of the result are ``(s, s')`` pairs, labels are the union
     ``L(s) ∪ L'(s')``, and only state combinations reachable from the
     initial pairs ``Q × Q'`` are kept.
-
-    ``parallelism`` shards the reachability exploration by joint-state
-    hash (see :mod:`repro.automata.sharding`); the result is
-    bit-identical to the sequential exploration for every shard count.
-    ``None`` defers to the ``REPRO_PARALLELISM`` environment variable.
 
     ``_flatten_left`` is internal, for :func:`compose_all`: when the
     left operand's states are already tuples of component states, the
@@ -132,18 +103,6 @@ def compose(
         )
     if semantics not in ("strict", "open"):
         raise CompositionError(f"unknown composition semantics {semantics!r}")
-    if not _flatten_left:
-        from .sharding import resolve_parallelism
-
-        shards = resolve_parallelism(parallelism)
-        if shards > 1:
-            return _sharded_product(
-                [first, second],
-                semantics,
-                name if name is not None else f"({first.name} || {second.name})",
-                shards,
-            )
-
     if _flatten_left:
         join = lambda s1, s2: (*s1, s2)  # noqa: E731
     else:
@@ -190,7 +149,6 @@ def compose_all(
     *,
     semantics: Semantics = "open",
     name: str | None = None,
-    parallelism: int | None = None,
 ) -> Automaton:
     """Fold a sequence of automata into one composition, left to right.
 
@@ -199,23 +157,9 @@ def compose_all(
     uniformly regardless of how many machines were composed.  The
     flattening happens inside each fold step's BFS (no quadratic
     ``map_states`` pass over the accumulated product).
-
-    ``parallelism`` shards the exploration exactly as in
-    :func:`compose`; the folded result is bit-identical either way.
     """
     if not automata:
         raise CompositionError("compose_all needs at least one automaton")
-    if len(automata) >= 2:
-        from .sharding import resolve_parallelism
-
-        shards = resolve_parallelism(parallelism)
-        if shards > 1:
-            folded_name = automata[0].name
-            for machine in automata[1:]:
-                folded_name = f"({folded_name} || {machine.name})"
-            return _sharded_product(
-                automata, semantics, name if name is not None else folded_name, shards
-            )
     result = automata[0]
     for position, machine in enumerate(automata[1:]):
         result = compose(result, machine, semantics=semantics, _flatten_left=position > 0)

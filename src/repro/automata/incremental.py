@@ -24,11 +24,7 @@ across iterations:
     :func:`~repro.automata.composition.compose` /
     :func:`~repro.automata.composition.compose_all` exactly — which the
     optional ``validate`` mode re-checks against a full recompose,
-    falling back to the from-scratch result on any mismatch.  With
-    ``parallelism=K`` the re-exploration is sharded by a stable
-    joint-state hash and run on a reusable worker pool (see
-    :mod:`repro.automata.sharding`); the merged result is bit-identical
-    to the sequential exploration for every ``K``.
+    falling back to the from-scratch result on any mismatch.
 
 :class:`IncrementalVerifier`
     Ties both together with the model checker's warm start
@@ -46,9 +42,7 @@ edges and labels; the checker then only needs seeds for the remaining
 
 from __future__ import annotations
 
-import time
-from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import TYPE_CHECKING
@@ -69,21 +63,7 @@ from .chaos import (
 from .composition import Semantics, compose, compose_all, composable
 from .incomplete import IncompleteAutomaton
 from .interaction import InteractionUniverse
-from .interning import StateInterner, mask_of_flags, resolve_dense_product
 from ..obs.tracer import NULL_TRACER
-from .sharding import (
-    FLAT_PROCESS_WORKLOAD_FLOOR,
-    SEQUENTIAL_WORKLOAD_FLOOR,
-    ShardReport,
-    WorkerPool,
-    check_strategy,
-    get_pool,
-    resolve_checker_parallelism,
-    resolve_parallelism,
-    resolve_product_strategy,
-    select_strategy,
-    shard_of,
-)
 
 __all__ = [
     "ClosureUpdate",
@@ -93,11 +73,6 @@ __all__ = [
     "VerificationStep",
     "IncrementalVerifier",
 ]
-
-#: Below this many dirty closure groups, the cache rebuilds inline even
-#: when a worker pool is available (pool dispatch would dominate).
-_CLOSURE_PARALLEL_FLOOR = 16
-
 
 # --------------------------------------------------------------------- closure
 
@@ -127,16 +102,10 @@ class ClosureCache:
         universe: InteractionUniverse,
         *,
         deterministic_implementation: bool = True,
-        parallelism: int | None = None,
-        strategy: str | None = None,
-        pool: WorkerPool | None = None,
         tracer=None,
     ):
         self.universe = universe
         self.deterministic_implementation = deterministic_implementation
-        self.parallelism = resolve_parallelism(parallelism)
-        self.strategy = check_strategy(strategy)
-        self._pool = pool if pool is not None else get_pool()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._core = tuple(sorted(chaotic_core_transitions(universe), key=Transition.sort_key))
         #: per closure-source-state outgoing transitions, each slice sorted
@@ -152,35 +121,6 @@ class ClosureCache:
             incomplete.refused(state),
             incomplete.labels(state),
         )
-
-    def _derive_groups(
-        self, incomplete: IncompleteAutomaton, dirty_bases: Sequence[State]
-    ) -> "list[tuple[Transition, ...]]":
-        """Re-derive the closure groups of the dirty bases, in order.
-
-        Group derivation is a pure function of one base state's local
-        knowledge, so a large dirty report (e.g. warm-started knowledge,
-        or the first update of a run) can fan out over the shared worker
-        pool; ``map`` preserves task order, so the result is independent
-        of scheduling.  Small reports rebuild inline — the common case
-        after a single learning step is one or two dirty groups.
-        """
-        derive = lambda state: closure_state_transitions(  # noqa: E731
-            incomplete,
-            self.universe,
-            state,
-            deterministic_implementation=self.deterministic_implementation,
-        )
-        strategy = self.strategy
-        if strategy is None:
-            strategy = (
-                "thread"
-                if self.parallelism > 1 and len(dirty_bases) >= _CLOSURE_PARALLEL_FLOOR
-                else "sequential"
-            )
-        if strategy != "thread":  # closures are cheap: never worth pickling
-            strategy = "sequential"
-        return self._pool.map(strategy, derive, list(dirty_bases), workers=self.parallelism)
 
     def update(self, incomplete: IncompleteAutomaton, *, name: str | None = None) -> ClosureUpdate:
         with self.tracer.span("closure.update", model=incomplete.name):
@@ -204,8 +144,7 @@ class ClosureCache:
         # Canonical base order: a frozenset's iteration order varies with
         # the hash seed, and letting it pick the ``by_source`` insertion
         # order would make assembled automata differ structurally from
-        # run to run (the ordering bug class audited in
-        # ``tests/test_product_sharding.py``).
+        # run to run.
         ordered_bases = sorted(base_states, key=repr)
         dirty_bases: list[State] = []
         reused = 0
@@ -216,8 +155,13 @@ class ClosureCache:
                 continue
             dirty_bases.append(state)
             self._signatures[state] = signature
-        rebuild = self._derive_groups(incomplete, dirty_bases)
-        for state, group in zip(dirty_bases, rebuild):
+        for state in dirty_bases:
+            group = closure_state_transitions(
+                incomplete,
+                self.universe,
+                state,
+                deterministic_implementation=self.deterministic_implementation,
+            )
             per_source: dict[State, list[Transition]] = {}
             for transition in group:
                 per_source.setdefault(transition.source, []).append(transition)
@@ -285,14 +229,6 @@ class ProductUpdate:
     hits: int
     misses: int
     fell_back: bool
-    #: merged per-shard dirty reports (one entry per shard, in shard order)
-    shards: tuple[ShardReport, ...] = ()
-    #: whether the id-space (dense) exploration ran this update
-    dense: bool = False
-    #: interner size after the update (0 on the legacy dict path)
-    dense_states: int = 0
-    #: 64-bit words of the packed reachable-set bitset (0 on the legacy path)
-    bitset_words: int = 0
 
 
 def _joint_edges(
@@ -307,8 +243,6 @@ def _joint_edges(
     Reproduces ``compose``'s matching per fold step: the accumulated
     prefix plays "first" with the *static* union alphabets
     ``in_prefix[k]``/``out_prefix[k]``, component ``k`` plays "second".
-    A pure function of its arguments — shard workers (threads or forked
-    processes) call it without any shared mutable state.
     """
     acc: list[tuple] = [
         (t.interaction, (t.target,)) for t in components[0].transitions_from(joint[0])
@@ -338,165 +272,6 @@ def _joint_edges(
     return tuple(edges), targets
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """One shard's work for one handoff round (picklable for processes)."""
-
-    shard: int
-    shards: int
-    frontier: tuple
-    visited: frozenset  #: own-shard joints already claimed (frontier included)
-    components: tuple
-    in_prefix: tuple
-    out_prefix: tuple
-    strict: bool
-    cache: dict  #: read-only view of the edge cache (own-shard slice suffices)
-
-
-@dataclass(frozen=True)
-class _ShardDelta:
-    """What one shard's local BFS produced in one handoff round."""
-
-    shard: int
-    states_explored: int
-    by_source: dict
-    labels: dict
-    new_entries: dict  #: joint -> (edges, targets, label) recomputed this round
-    claimed: tuple  #: own-shard joints first reached during this round
-    handoffs: tuple  #: cross-shard targets, in discovery order
-    hits: int
-    misses: int
-
-
-def _explore_shard(task: _ShardTask) -> _ShardDelta:
-    """Run one shard's local BFS to exhaustion within its own shard.
-
-    The worker owns every joint state whose stable hash maps to its
-    shard: it explores those states (reusing cached edges where present,
-    re-deriving the rest), follows own-shard targets immediately, and
-    emits every cross-shard target as a handoff for the merge step.
-    Because each joint state is explored by exactly one shard, the
-    per-state results — edges, labels, hit/miss classification — are
-    identical to the sequential exploration regardless of shard count or
-    scheduling order.
-    """
-    shard, shards = task.shard, task.shards
-    cache = task.cache
-    components = task.components
-    in_prefix, out_prefix, strict = task.in_prefix, task.out_prefix, task.strict
-    visited = set(task.visited)
-    queue = list(task.frontier)
-    by_source: dict[State, tuple[Transition, ...]] = {}
-    labels: dict[State, frozenset[str]] = {}
-    new_entries: dict = {}
-    claimed: list = []
-    handoffs: list = []
-    explored = hits = misses = 0
-    while queue:
-        joint = queue.pop()
-        explored += 1
-        entry = cache.get(joint)
-        if entry is None:
-            edges, targets = _joint_edges(joint, components, in_prefix, out_prefix, strict)
-            label = frozenset().union(
-                *(c.labels(local) for c, local in zip(components, joint))
-            )
-            entry = (edges, targets, label)
-            new_entries[joint] = entry
-            misses += 1
-        else:
-            edges, targets, label = entry
-            hits += 1
-        if edges:
-            by_source[joint] = edges
-        labels[joint] = label
-        for target in targets:
-            if shards > 1 and shard_of(target, shards) != shard:
-                handoffs.append(target)
-            elif target not in visited:
-                visited.add(target)
-                claimed.append(target)
-                queue.append(target)
-    return _ShardDelta(
-        shard=shard,
-        states_explored=explored,
-        by_source=by_source,
-        labels=labels,
-        new_entries=new_entries,
-        claimed=tuple(claimed),
-        handoffs=tuple(handoffs),
-        hits=hits,
-        misses=misses,
-    )
-
-
-@dataclass(frozen=True)
-class _DenseProductShared:
-    """Per-update read-only context the dense shard workers derive from.
-
-    Published through the module global :data:`_DENSE_PRODUCT_SHARED`
-    *before* the worker crew is claimed: thread and inline workers read
-    it directly, and a forked process crew inherits it by copy-on-write
-    at fork time — the components are shipped to the children exactly
-    once per update instead of being pickled into every round's tasks.
-    """
-
-    components: tuple
-    in_prefix: tuple
-    out_prefix: tuple
-    strict: bool
-
-
-_DENSE_PRODUCT_SHARED: _DenseProductShared | None = None
-
-
-@dataclass(frozen=True)
-class _DenseShardTask:
-    """One shard's derivations for one BFS level (flat and picklable).
-
-    Only *misses* travel: the parent classifies every frontier id
-    against its live entry table before dispatch, so a worker's whole
-    job is the expensive part — re-deriving product edges — and a level
-    whose frontier is fully cached never leaves the parent at all.
-    """
-
-    shard: int
-    #: (interned id, joint tuple) pairs in frontier order — the joint
-    #: travels with the id because forked children cannot resolve ids
-    #: interned after their snapshot was taken.
-    misses: tuple
-
-
-@dataclass(frozen=True)
-class _DenseShardDelta:
-    """What one dense shard worker derived in one BFS level."""
-
-    shard: int
-    #: (interned id, edges, target joints, label) in task order
-    derived: tuple
-
-
-def _explore_dense_shard(task: _DenseShardTask) -> _DenseShardDelta:
-    """Derive the product edges of one shard's frontier misses.
-
-    A pure function of the task and the fork/thread-shared per-update
-    context: every joint state is derived by exactly its ``id % K``
-    owner, so the per-state results are identical to the sequential
-    exploration regardless of shard count, strategy, or scheduling.
-    """
-    shared = _DENSE_PRODUCT_SHARED
-    components = shared.components
-    in_prefix, out_prefix, strict = shared.in_prefix, shared.out_prefix, shared.strict
-    derived = []
-    for sid, joint in task.misses:
-        edges, targets = _joint_edges(joint, components, in_prefix, out_prefix, strict)
-        label = frozenset().union(
-            *(c.labels(local) for c, local in zip(components, joint))
-        )
-        derived.append((sid, edges, targets, label))
-    return _DenseShardDelta(shard=task.shard, derived=tuple(derived))
-
-
 class IncrementalProduct:
     """Reusable n-ary synchronous product (Definition 3, folded left).
 
@@ -511,27 +286,6 @@ class IncrementalProduct:
     With ``validate=True`` every update is cross-checked against a full
     recompose; a mismatch (which would indicate a bug in the fold) makes
     the product adopt the from-scratch result and flush its cache.
-
-    With ``parallelism=K > 1`` the re-exploration is split into ``K``
-    shards.  The *dense* exploration (``dense=True``, the default above
-    the dense state floor or under ``REPRO_DENSE_PRODUCT``) interns
-    every joint state into a delta-extendable
-    :class:`~repro.automata.interning.StateInterner` as the BFS
-    discovers it: ownership is plain ``id % K``, the visited set is a
-    byte-flag buffer, frontiers are ``array('I')`` id batches, and the
-    edge cache is an id-indexed entry list.  Rounds are BFS levels —
-    the parent classifies each level's frontier against the live entry
-    table and ships only the *misses* (as flat ``(id, joint)`` batches)
-    to a per-update :class:`~repro.automata.sharding.ShardCrew`, whose
-    forked workers inherit the components once at fork time instead of
-    pickling cache slices per round.  The *legacy* exploration
-    (``dense=False``) keeps the dict cache keyed by joint tuples with
-    crc32-of-repr ownership and within-shard frontier chaining.  Either
-    way, deltas merge in shard order and every per-state result is
-    computed by exactly one owner shard, so the merged product — and
-    every counter except the per-shard breakdown — is bit-identical to
-    the sequential exploration for every shard count, strategy, and
-    scheduling order.
     """
 
     def __init__(
@@ -539,104 +293,17 @@ class IncrementalProduct:
         *,
         semantics: Semantics = "strict",
         validate: bool = False,
-        parallelism: int | None = None,
-        strategy: str | None = None,
-        dense: bool | None = None,
-        pool: WorkerPool | None = None,
         tracer=None,
     ):
         if semantics not in ("strict", "open"):
             raise CompositionError(f"unknown composition semantics {semantics!r}")
         self.semantics: Semantics = semantics
         self.validate = validate
-        self.parallelism = resolve_parallelism(parallelism)
-        self.strategy = check_strategy(strategy)
-        self.dense = dense
         self.fallbacks = 0
-        self._pool = pool if pool is not None else get_pool()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: joint state -> (sorted outgoing edges, unique targets, labels)
         self._cache: dict[tuple, tuple[tuple[Transition, ...], tuple, frozenset[str]]] = {}
-        #: dense twin of ``_cache``: id -> (edges, array('I') target ids,
-        #: labels) — ``None`` marks un-derived ids; kept aligned with the
-        #: interner (``len(_entries) == len(_interner)``) at all times.
-        self._interner: StateInterner | None = None
-        self._entries: list = []
-        self._live_entries = 0
-        self._dense_active: bool | None = None
-        self._reachable_mask = 0
         self._arity: int | None = None
-
-    @property
-    def dense_states(self) -> int:
-        """Interned joint states (0 unless the dense regime is active).
-
-        The interner itself survives a dense→legacy flip (ids are never
-        reassigned), but the counter reports 0 while legacy mode is
-        active so it always matches the ``ProductUpdate`` fields.
-        """
-        if not self._dense_active or self._interner is None:
-            return 0
-        return len(self._interner)
-
-    @property
-    def bitset_words(self) -> int:
-        """64-bit words a reachability bitset over the ids occupies."""
-        return (self.dense_states + 63) // 64
-
-    @property
-    def reachable_mask(self) -> int:
-        """Packed bitset of the last dense update's reachable ids."""
-        return self._reachable_mask
-
-    def _set_mode(self, dense: bool) -> None:
-        """Activate one cache regime, migrating entries on a flip.
-
-        The toggle re-resolves per update (the environment or the size
-        heuristic may change between learning steps), and warm entries
-        are too valuable to drop on a flip: both directions convert the
-        cache wholesale.  Ids are never reassigned — the interner
-        outlives a dense→legacy→dense round trip, so warm-start
-        structures stay directly comparable.
-        """
-        if self._dense_active == dense:
-            return
-        if dense:
-            if self._interner is None:
-                self._interner = StateInterner()
-                self._entries = []
-            interner, entries = self._interner, self._entries
-            if self._cache:
-                batch = list(self._cache)
-                for _, targets, _ in self._cache.values():
-                    batch.extend(targets)
-                added = interner.extend(batch)
-                if added:
-                    entries.extend([None] * added)
-                id_of = interner.id_of
-                for joint, (edges, targets, label) in self._cache.items():
-                    entries[id_of(joint)] = (
-                        edges,
-                        array("I", (id_of(t) for t in targets)),
-                        label,
-                    )
-                self._live_entries = len(self._cache)
-                self._cache = {}
-        elif self._dense_active:
-            interner, entries = self._interner, self._entries
-            resolve = interner.resolve
-            for sid, entry in enumerate(entries):
-                if entry is None:
-                    continue
-                edges, tids, label = entry
-                self._cache[resolve(sid)] = (
-                    edges,
-                    tuple(resolve(t) for t in tids),
-                    label,
-                )
-            self._entries = [None] * len(interner)
-            self._live_entries = 0
-        self._dense_active = dense
 
     def _check_composable(self, components: Sequence[Automaton]) -> None:
         for position, right in enumerate(components[1:], start=1):
@@ -647,33 +314,6 @@ class IncrementalProduct:
                         f"shared inputs {sorted(left.inputs & right.inputs)}, "
                         f"shared outputs {sorted(left.outputs & right.outputs)}"
                     )
-
-    def _joint_bound(self) -> int:
-        """Capped joint state-space bound: the product of component sizes."""
-        bound = 1
-        for size in self._component_sizes:
-            bound *= max(size, 1)
-            if bound > 10 * FLAT_PROCESS_WORKLOAD_FLOOR:
-                break  # already clearly past every threshold we care about
-        return bound
-
-    def _select_strategy(self, stale: int, initial: int, dense: bool) -> str:
-        """Pick an execution strategy from the estimated re-exploration.
-
-        The workload is what the BFS will have to *recompute*: the
-        invalidated cache entries plus the initial frontier on warm
-        updates, or (capped) the full joint state-space bound on the
-        first exploration of an empty cache.  Dense explorations pass
-        ``flat=True`` — their shard payloads are id arrays, so the
-        forked crew engages at the much lower flat workload floor.
-        """
-        if self.strategy is not None:
-            return self.strategy if self.parallelism > 1 else "sequential"
-        if self._cache or self._live_entries:
-            workload = stale + initial
-        else:
-            workload = self._joint_bound()
-        return select_strategy(workload, self.parallelism, flat=dense)
 
     def update(
         self,
@@ -707,34 +347,15 @@ class IncrementalProduct:
             )
         self._check_composable(components)
 
-        self._component_sizes = [len(c.states) for c in components]
-        dense = resolve_dense_product(self.dense, state_count=self._joint_bound())
-        self._set_mode(dense)
-
         dirty_sets = [frozenset(d) for d in dirty_locals]
-        stale_count = 0
         if any(dirty_sets):
-            if dense:
-                entries = self._entries
-                resolve = self._interner.resolve
-                arity = range(len(dirty_sets))
-                for sid in range(len(entries)):
-                    if entries[sid] is None:
-                        continue
-                    joint = resolve(sid)
-                    if any(joint[k] in dirty_sets[k] for k in arity):
-                        entries[sid] = None
-                        stale_count += 1
-                self._live_entries -= stale_count
-            else:
-                stale = [
-                    joint
-                    for joint in self._cache
-                    if any(joint[k] in dirty_sets[k] for k in range(len(dirty_sets)))
-                ]
-                stale_count = len(stale)
-                for joint in stale:
-                    del self._cache[joint]
+            stale = [
+                joint
+                for joint in self._cache
+                if any(joint[k] in dirty_sets[k] for k in range(len(dirty_sets)))
+            ]
+            for joint in stale:
+                del self._cache[joint]
 
         in_prefix: list[frozenset[str]] = [frozenset()]
         out_prefix: list[frozenset[str]] = [frozenset()]
@@ -743,19 +364,44 @@ class IncrementalProduct:
             out_prefix.append(out_prefix[-1] | component.outputs)
 
         initial = [tuple(combo) for combo in iproduct(*(sorted(c.initial, key=repr) for c in components))]
-        strategy = self._select_strategy(stale_count, len(initial), dense)
-        shards = self.parallelism
         strict = self.semantics == "strict"
 
-        explore = self._explore_dense if dense else self._explore
-        seen, by_source, labels, count, reports = explore(
-            components, initial, in_prefix, out_prefix, strict, shards, strategy
-        )
-        hits = sum(report.hits for report in reports)
-        misses = sum(report.misses for report in reports)
-        dirty_joints: frozenset[State] = frozenset().union(
-            *(report.dirty_states for report in reports)
-        )
+        # Depth-first re-exploration from the initial joint states:
+        # cached joints replay their edges, the rest are re-derived (and
+        # become the checker's dirty seeds).
+        cache = self._cache
+        seen: set = set()
+        stack: list = []
+        for joint in initial:
+            if joint not in seen:
+                seen.add(joint)
+                stack.append(joint)
+        by_source: dict[State, tuple[Transition, ...]] = {}
+        labels: dict[State, frozenset[str]] = {}
+        rebuilt: set = set()
+        count = hits = misses = 0
+        while stack:
+            joint = stack.pop()
+            entry = cache.get(joint)
+            if entry is None:
+                edges, targets = _joint_edges(joint, components, in_prefix, out_prefix, strict)
+                label = frozenset().union(
+                    *(c.labels(local) for c, local in zip(components, joint))
+                )
+                cache[joint] = (edges, targets, label)
+                rebuilt.add(joint)
+                misses += 1
+            else:
+                edges, targets, label = entry
+                hits += 1
+            if edges:
+                by_source[joint] = edges
+                count += len(edges)
+            labels[joint] = label
+            for target in targets:
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
 
         inputs = frozenset().union(*(c.inputs for c in components))
         outputs = frozenset().union(*(c.outputs for c in components))
@@ -769,6 +415,7 @@ class IncrementalProduct:
             labels=labels,
             name=name if name is not None else " || ".join(c.name for c in components),
         )
+        dirty_joints: frozenset[State] = frozenset(rebuilt)
         fell_back = False
         if self.validate:
             reference = self._full_recompose(components, name=automaton.name)
@@ -776,9 +423,6 @@ class IncrementalProduct:
                 self.fallbacks += 1
                 fell_back = True
                 self._cache.clear()
-                if self._interner is not None:
-                    self._entries = [None] * len(self._interner)
-                    self._live_entries = 0
                 automaton = reference
                 dirty_joints = frozenset(reference.states)
         return ProductUpdate(
@@ -787,509 +431,12 @@ class IncrementalProduct:
             hits=hits,
             misses=misses,
             fell_back=fell_back,
-            shards=reports,
-            dense=dense,
-            dense_states=self.dense_states if dense else 0,
-            bitset_words=(self.dense_states + 63) // 64 if dense else 0,
         )
-
-    def _explore(
-        self,
-        components: list[Automaton],
-        initial: list[tuple],
-        in_prefix: list[frozenset[str]],
-        out_prefix: list[frozenset[str]],
-        strict: bool,
-        shards: int,
-        strategy: str,
-    ) -> tuple[set, dict, dict, int, tuple[ShardReport, ...]]:
-        """Sharded BFS to the global fixpoint; merge deltas in shard order."""
-        cache = self._cache
-        visited: list[set] = [set() for _ in range(shards)]
-        frontiers: list[list] = [[] for _ in range(shards)]
-        for joint in initial:
-            k = shard_of(joint, shards)
-            if joint not in visited[k]:
-                visited[k].add(joint)
-                frontiers[k].append(joint)
-
-        # Forked processes cannot see the parent's cache, so ship each
-        # worker its own shard's slice; threads and inline workers read
-        # the shared dict directly (it is only written between rounds).
-        if strategy == "process" and shards > 1:
-            slices: list[dict] = [{} for _ in range(shards)]
-            for joint, entry in cache.items():
-                slices[shard_of(joint, shards)][joint] = entry
-        else:
-            slices = [cache] * shards
-
-        by_source: dict[State, tuple[Transition, ...]] = {}
-        labels: dict[State, frozenset[str]] = {}
-        count = 0
-        explored = [0] * shards
-        hits = [0] * shards
-        misses = [0] * shards
-        handoffs = [0] * shards
-        conflicts = [0] * shards
-        dirty: list[set] = [set() for _ in range(shards)]
-        adopt = shards == 1  # single shard: adopt the delta maps wholesale
-
-        components_tuple = tuple(components)
-        in_prefix_tuple = tuple(in_prefix)
-        out_prefix_tuple = tuple(out_prefix)
-        tracer = self.tracer
-        round_index = 0
-        runner = _explore_shard
-        if tracer.enabled and strategy != "process" and shards > 1:
-            # Workers time themselves and report on their shard's track.
-            # Forked processes cannot reach this tracer, so their rounds
-            # go unrecorded (only 200k+-state explorations take that path).
-            # A single shard stays on the main track: emitting a
-            # `product/shard-0` swimlane for K=1 runs only duplicated
-            # the exploration time as a zero-information track in every
-            # trace summary.
-            round_box = [0]
-
-            def runner(task: _ShardTask) -> _ShardDelta:
-                begin = time.perf_counter()
-                delta = _explore_shard(task)
-                tracer.record(
-                    "product.shard_round",
-                    track=f"product/shard-{task.shard}",
-                    start=begin,
-                    duration=time.perf_counter() - begin,
-                    round=round_box[0],
-                )
-                return delta
-
-        while any(frontiers):
-            tasks = [
-                _ShardTask(
-                    shard=k,
-                    shards=shards,
-                    frontier=tuple(frontiers[k]),
-                    visited=frozenset(visited[k]) if strategy == "process" else visited[k],
-                    components=components_tuple,
-                    in_prefix=in_prefix_tuple,
-                    out_prefix=out_prefix_tuple,
-                    strict=strict,
-                    cache=slices[k],
-                )
-                for k in range(shards)
-                if frontiers[k]
-            ]
-            if tracer.enabled and strategy != "process" and shards > 1:
-                round_box[0] = round_index
-            deltas = self._pool.map(strategy, runner, tasks, workers=shards)
-            # Merge in shard order (map preserves task order): each joint
-            # state is owned by exactly one shard, so the merged maps are
-            # conflict-free and their contents scheduling-independent.
-            with tracer.span("product.merge", round=round_index, shards=len(deltas)):
-                for delta in deltas:
-                    k = delta.shard
-                    cache.update(delta.new_entries)
-                    if slices[k] is not cache:
-                        slices[k].update(delta.new_entries)
-                    if adopt and not by_source:
-                        by_source = delta.by_source
-                        labels = delta.labels
-                    else:
-                        by_source.update(delta.by_source)
-                        labels.update(delta.labels)
-                    count += sum(len(edges) for edges in delta.by_source.values())
-                    visited[k].update(delta.claimed)
-                    dirty[k].update(delta.new_entries)
-                    explored[k] += delta.states_explored
-                    hits[k] += delta.hits
-                    misses[k] += delta.misses
-                    handoffs[k] += len(delta.handoffs)
-                next_frontiers: list[list] = [[] for _ in range(shards)]
-                for delta in deltas:
-                    for target in delta.handoffs:
-                        k2 = shard_of(target, shards)
-                        if target in visited[k2]:
-                            conflicts[k2] += 1
-                        else:
-                            visited[k2].add(target)
-                            next_frontiers[k2].append(target)
-                frontiers = next_frontiers
-            round_index += 1
-
-        seen: set = set().union(*visited) if shards > 1 else visited[0]
-        reports = tuple(
-            ShardReport(
-                shard=k,
-                states_explored=explored[k],
-                hits=hits[k],
-                misses=misses[k],
-                handoffs=handoffs[k],
-                merge_conflicts=conflicts[k],
-                dirty_states=frozenset(dirty[k]),
-            )
-            for k in range(shards)
-        )
-        return seen, by_source, labels, count, reports
-
-    def _explore_dense_chained(
-        self,
-        components: list[Automaton],
-        initial: list[tuple],
-        in_prefix: list[frozenset[str]],
-        out_prefix: list[frozenset[str]],
-        strict: bool,
-        shards: int,
-    ) -> tuple[Iterable, dict, dict, int, tuple[ShardReport, ...]]:
-        """One chained id-space BFS with analytic shard attribution.
-
-        The fast path for the ``sequential`` strategy at every K: no
-        crew, no rounds, no per-level allocations — a single queue walk
-        that evaluates ``id % K`` only to *attribute* work (explored,
-        hits, misses, handoffs, conflicts, dirty) to its owner shard.
-        Because the BFS pops states in exactly the order the round
-        protocol's frontiers enumerate them, the global emission
-        sequence — and hence every published counter — is bit-identical
-        to the crew-driven exploration; K>1 costs two modulo operations
-        per edge over K=1.  Warm all-hit updates reduce to a single
-        pass over the cached entry table.
-        """
-        interner = self._interner
-        entries = self._entries
-        # Direct slot access, same idiom as DenseGraph.from_successors:
-        # this loop is the product hot path and a method call per popped
-        # state (let alone per target) is measurable against it.
-        ids = interner._ids
-        store = interner._states
-        before = len(store)
-        initial_ids = interner.intern_ids(initial)
-        added = len(store) - before
-        if added:
-            entries.extend([None] * added)
-
-        visited = bytearray(len(store))
-        queue = array("I")
-        queue_append = queue.append
-        for sid in initial_ids:
-            if not visited[sid]:
-                visited[sid] = 1
-                queue_append(sid)
-
-        explored = [0] * shards
-        hits = [0] * shards
-        misses = [0] * shards
-        handoffs = [0] * shards
-        conflicts = [0] * shards
-        dirty: list[set] = [set() for _ in range(shards)]
-
-        # Every visited id is enqueued exactly once and the queue drains
-        # to the fixpoint, so the pop loop sees each reachable state
-        # exactly once — the result maps are built inline instead of by
-        # a second resolve-everything pass over the flag buffer.  The
-        # reachable-state set is exactly the label map's key view.
-        by_source: dict[State, tuple[Transition, ...]] = {}
-        labels: dict[State, frozenset[str]] = {}
-        count = 0
-        live = 0
-        index = 0
-        ids_get = ids.get
-        entries_append = entries.append
-        store_append = store.append
-        visited_append = visited.append
-        while index < len(queue):
-            sid = queue[index]
-            index += 1
-            k = sid % shards if shards > 1 else 0
-            explored[k] += 1
-            entry = entries[sid]
-            if entry is None:
-                state = store[sid]
-                misses[k] += 1
-                dirty[k].add(state)
-                edges, targets = _joint_edges(
-                    state, components, in_prefix, out_prefix, strict
-                )
-                label = frozenset().union(
-                    *(c.labels(local) for c, local in zip(components, state))
-                )
-                # Interning and routing fused into one pass over the
-                # (already deduplicated) targets: a state fresh to the
-                # interner is by construction unvisited, so it is
-                # claimed and enqueued without a flag probe.
-                tids = array("I")
-                tids_append = tids.append
-                if shards == 1:
-                    for target in targets:
-                        tid = ids_get(target)
-                        if tid is None:
-                            tid = len(store)
-                            ids[target] = tid
-                            store_append(target)
-                            entries_append(None)
-                            visited_append(1)
-                            queue_append(tid)
-                        elif not visited[tid]:
-                            visited[tid] = 1
-                            queue_append(tid)
-                        tids_append(tid)
-                else:
-                    for target in targets:
-                        tid = ids_get(target)
-                        if tid is None:
-                            tid = len(store)
-                            ids[target] = tid
-                            store_append(target)
-                            entries_append(None)
-                            visited_append(0)
-                        tids_append(tid)
-                        owner = tid % shards
-                        if owner != k:
-                            handoffs[k] += 1
-                        if visited[tid]:
-                            if owner != k:
-                                conflicts[owner] += 1
-                        else:
-                            visited[tid] = 1
-                            queue_append(tid)
-                entries[sid] = (edges, tids, label)
-                live += 1
-            else:
-                hits[k] += 1
-                edges, tids, label = entry
-                state = store[sid]
-                if shards == 1:
-                    for tid in tids:
-                        if not visited[tid]:
-                            visited[tid] = 1
-                            queue_append(tid)
-                else:
-                    for tid in tids:
-                        owner = tid % shards
-                        if owner != k:
-                            handoffs[k] += 1
-                        if visited[tid]:
-                            if owner != k:
-                                conflicts[owner] += 1
-                        else:
-                            visited[tid] = 1
-                            queue_append(tid)
-            if edges:
-                by_source[state] = edges
-                count += len(edges)
-            labels[state] = label
-        self._live_entries += live
-        self._reachable_mask = mask_of_flags(visited)
-        reports = tuple(
-            ShardReport(
-                shard=k,
-                states_explored=explored[k],
-                hits=hits[k],
-                misses=misses[k],
-                handoffs=handoffs[k],
-                merge_conflicts=conflicts[k],
-                dirty_states=frozenset(dirty[k]),
-            )
-            for k in range(shards)
-        )
-        return labels.keys(), by_source, labels, count, reports
-
-    def _explore_dense(
-        self,
-        components: list[Automaton],
-        initial: list[tuple],
-        in_prefix: list[frozenset[str]],
-        out_prefix: list[frozenset[str]],
-        strict: bool,
-        shards: int,
-        strategy: str,
-    ) -> tuple[set, dict, dict, int, tuple[ShardReport, ...]]:
-        """Level-synchronized id-space BFS; merge deltas in shard order.
-
-        Rounds are BFS levels for *every* shard count and strategy —
-        workers never chain within a round, so the round structure (and
-        with it every scheduling-independent counter) is identical at
-        K=1 and K=8.  Fresh joint states are interned at merge time,
-        per delta in shard order, in discovery order — every source of
-        that order (the frontier, the tasks, ``_joint_edges``'s walk of
-        canonical transition slices) is deterministic, so id assignment
-        is a pure function of the exploration history, independent of
-        the hash seed and of worker scheduling.  Emissions route in
-        frontier order (shard by shard, state by state, target by
-        target) against the byte-flag visited buffer; a cross-shard
-        arrival at a claimed id is counted against the owner, exactly
-        like the legacy merge protocol.
-
-        The ``sequential`` strategy takes the chained fast path
-        instead: one queue-driven BFS with *analytic* shard attribution
-        (``id % K`` evaluated while counting, not while scheduling).
-        The emission sequence — (source, target) pairs in BFS order —
-        is identical under both schedules, so every published counter
-        matches the round protocol's bit for bit, while K>1 costs
-        nothing but the modulo bookkeeping.
-        """
-        if strategy == "sequential":
-            return self._explore_dense_chained(
-                components, initial, in_prefix, out_prefix, strict, shards
-            )
-        global _DENSE_PRODUCT_SHARED
-        interner = self._interner
-        entries = self._entries
-        added = interner.extend(initial)
-        if added:
-            entries.extend([None] * added)
-
-        visited = bytearray(len(interner))
-        id_of = interner.id_of
-        resolve = interner.resolve
-        frontier = array("I")
-        for joint in initial:
-            sid = id_of(joint)
-            if not visited[sid]:
-                visited[sid] = 1
-                frontier.append(sid)
-
-        explored = [0] * shards
-        hits = [0] * shards
-        misses = [0] * shards
-        handoffs = [0] * shards
-        conflicts = [0] * shards
-        dirty: list[set] = [set() for _ in range(shards)]
-
-        tracer = self.tracer
-        runner = _explore_dense_shard
-        traced = tracer.enabled and strategy != "process" and shards > 1
-        if traced:
-            # Same span contract as the legacy path: workers time
-            # themselves onto their shard's track; forked crews cannot
-            # reach this tracer, and K=1 stays on the main track.
-            round_box = [0]
-
-            def runner(task: _DenseShardTask) -> _DenseShardDelta:
-                begin = time.perf_counter()
-                delta = _explore_dense_shard(task)
-                tracer.record(
-                    "product.shard_round",
-                    track=f"product/shard-{task.shard}",
-                    start=begin,
-                    duration=time.perf_counter() - begin,
-                    round=round_box[0],
-                )
-                return delta
-
-        round_index = 0
-        _DENSE_PRODUCT_SHARED = _DenseProductShared(
-            components=tuple(components),
-            in_prefix=tuple(in_prefix),
-            out_prefix=tuple(out_prefix),
-            strict=strict,
-        )
-        try:
-            with self._pool.crew(strategy, shards) as crew:
-                while frontier:
-                    # Partition the level by id ownership and classify
-                    # against the live entry table: only misses travel.
-                    parts: list[array] = [array("I") for _ in range(shards)]
-                    miss_lists: list[list] = [[] for _ in range(shards)]
-                    for sid in frontier:
-                        k = sid % shards
-                        parts[k].append(sid)
-                        if entries[sid] is None:
-                            miss_lists[k].append((sid, resolve(sid)))
-                    tasks = [
-                        _DenseShardTask(shard=k, misses=tuple(miss_lists[k]))
-                        for k in range(shards)
-                        if miss_lists[k]
-                    ]
-                    if traced:
-                        round_box[0] = round_index
-                    deltas = crew.map(runner, tasks) if tasks else []
-                    with tracer.span(
-                        "product.merge", round=round_index, shards=len(deltas)
-                    ):
-                        for delta in deltas:
-                            before = len(interner)
-                            for sid, edges, targets, label in delta.derived:
-                                entries[sid] = (
-                                    edges,
-                                    array("I", interner.intern_ids(targets)),
-                                    label,
-                                )
-                            added = len(interner) - before
-                            if added:
-                                entries.extend([None] * added)
-                                visited.extend(bytes(added))
-                            self._live_entries += len(delta.derived)
-                        next_frontier = array("I")
-                        for k in range(shards):
-                            part = parts[k]
-                            explored[k] += len(part)
-                            miss_count = len(miss_lists[k])
-                            misses[k] += miss_count
-                            hits[k] += len(part) - miss_count
-                            dirty[k].update(joint for _, joint in miss_lists[k])
-                            if shards == 1:
-                                for sid in part:
-                                    for tid in entries[sid][1]:
-                                        if not visited[tid]:
-                                            visited[tid] = 1
-                                            next_frontier.append(tid)
-                                continue
-                            for sid in part:
-                                for tid in entries[sid][1]:
-                                    owner = tid % shards
-                                    if owner != k:
-                                        handoffs[k] += 1
-                                    if visited[tid]:
-                                        if owner != k:
-                                            conflicts[owner] += 1
-                                        continue
-                                    visited[tid] = 1
-                                    next_frontier.append(tid)
-                        frontier = next_frontier
-                    round_index += 1
-        finally:
-            _DENSE_PRODUCT_SHARED = None
-
-        seen: set = set()
-        by_source: dict[State, tuple[Transition, ...]] = {}
-        labels: dict[State, frozenset[str]] = {}
-        count = 0
-        for sid, flag in enumerate(visited):
-            if not flag:
-                continue
-            state = resolve(sid)
-            seen.add(state)
-            edges, _, label = entries[sid]
-            if edges:
-                by_source[state] = edges
-                count += len(edges)
-            labels[state] = label
-        self._reachable_mask = mask_of_flags(visited)
-        reports = tuple(
-            ShardReport(
-                shard=k,
-                states_explored=explored[k],
-                hits=hits[k],
-                misses=misses[k],
-                handoffs=handoffs[k],
-                merge_conflicts=conflicts[k],
-                dirty_states=frozenset(dirty[k]),
-            )
-            for k in range(shards)
-        )
-        return seen, by_source, labels, count, reports
 
     def _full_recompose(self, components: Sequence[Automaton], *, name: str) -> Automaton:
-        # parallelism=1 pins the reference to the sequential from-scratch
-        # fold: the validate cross-check must stay independent of the
-        # sharded machinery (and of REPRO_PARALLELISM) to catch bugs in it.
         if len(components) == 2:
-            return compose(
-                components[0],
-                components[1],
-                semantics=self.semantics,
-                name=name,
-                parallelism=1,
-            )
-        return compose_all(components, semantics=self.semantics, name=name, parallelism=1)
+            return compose(components[0], components[1], semantics=self.semantics, name=name)
+        return compose_all(components, semantics=self.semantics, name=name)
 
 
 # -------------------------------------------------------------------- verifier
@@ -1306,18 +453,6 @@ class StepStats:
     dirty_states: int = 0
     affected_states: int = 0
     fell_back: bool = False
-    #: shard count of the product exploration (0 when no product ran)
-    product_shards: int = 0
-    #: joint states explored per shard, in shard order
-    shard_states_explored: tuple[int, ...] = ()
-    #: cross-shard frontier handoffs emitted, summed over shards
-    shard_handoffs: int = 0
-    #: handoffs that arrived at an already-claimed target, summed over shards
-    shard_merge_conflicts: int = 0
-    #: interned joint states after the product update (0 on the legacy path)
-    product_dense_states: int = 0
-    #: 64-bit words of the packed reachable bitset (0 on the legacy path)
-    product_bitset_words: int = 0
 
 
 @dataclass(frozen=True)
@@ -1349,55 +484,23 @@ class IncrementalVerifier:
         semantics: Semantics = "strict",
         deterministic_implementation: bool = True,
         validate: bool = False,
-        parallelism: int | None = None,
-        strategy: str | None = None,
-        checker_parallelism: int | None = None,
-        dense: bool | None = None,
-        dense_product: bool | None = None,
-        product_strategy: str | None = None,
         tracer=None,
     ):
         if not universes:
             raise ModelError("IncrementalVerifier needs at least one legacy universe")
         self.context = context
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.dense = dense
-        self.dense_product = dense_product
-        # The product-specific strategy knob (or REPRO_PRODUCT_STRATEGY)
-        # wins over the generic strategy= for the product exploration.
-        self.product_strategy = resolve_product_strategy(product_strategy)
-        self.parallelism = resolve_parallelism(parallelism)
-        # The checker follows the product's shard count unless overridden
-        # (explicitly or via REPRO_CHECKER_PARALLELISM): one knob shards
-        # the whole verification step.
-        self.checker_parallelism = resolve_checker_parallelism(
-            checker_parallelism, fallback=self.parallelism
-        )
-        self.strategy = check_strategy(strategy)
         self._closure_caches = [
             ClosureCache(
                 universe,
                 deterministic_implementation=deterministic_implementation,
-                parallelism=self.parallelism,
-                strategy=strategy,
                 tracer=self.tracer,
             )
             for universe in universes
         ]
         arity = (1 if context is not None else 0) + len(universes)
         self._product = (
-            IncrementalProduct(
-                semantics=semantics,
-                validate=validate,
-                parallelism=self.parallelism,
-                strategy=(
-                    self.product_strategy
-                    if self.product_strategy is not None
-                    else strategy
-                ),
-                dense=dense_product,
-                tracer=self.tracer,
-            )
+            IncrementalProduct(semantics=semantics, validate=validate, tracer=self.tracer)
             if arity > 1
             else None
         )
@@ -1453,25 +556,12 @@ class IncrementalVerifier:
             stats.product_hits = product.hits
             stats.product_misses = product.misses
             stats.fell_back = product.fell_back
-            stats.product_shards = len(product.shards)
-            stats.shard_states_explored = tuple(
-                report.states_explored for report in product.shards
-            )
-            stats.shard_handoffs = sum(report.handoffs for report in product.shards)
-            stats.shard_merge_conflicts = sum(
-                report.merge_conflicts for report in product.shards
-            )
-            stats.product_dense_states = product.dense_states
-            stats.product_bitset_words = product.bitset_words
 
         stats.dirty_states = len(dirty)
         checker = ModelChecker(
             composed,
             warm_from=self._checker,
             dirty_states=dirty,
-            parallelism=self.checker_parallelism,
-            strategy=self.strategy,
-            dense=self.dense,
             tracer=self.tracer,
         )
         self._checker = checker

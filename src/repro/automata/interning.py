@@ -1,522 +1,4 @@
-"""Dense integer-indexed state core: interned ids, CSR adjacency, bitsets.
+"""The product size from which an iteration counts as large."""
 
-The dict/set fixpoint solvers of :mod:`repro.logic.checker` pay Python's
-per-object tax on every edge: hashing a composite state tuple, chasing a
-dict slot, and boxing the result.  This module provides the flat data
-the rewritten solvers run on instead:
-
-``StateInterner``
-    Assigns each state a small contiguous integer id, once.  Ids are
-    stable across ``PYTHONHASHSEED`` because every batch of fresh states
-    is sorted by ``repr`` before numbering, and *delta-extendable*: the
-    incremental engine keeps one interner alive across learning
-    iterations, so surviving states keep their ids and warm-start
-    structures remain directly comparable.  (States whose reprs collide
-    are numbered in set-iteration order within their tie — the same
-    degeneracy class as the crc32-of-repr sharding this replaces, which
-    mapped such ties to one shard.)
-
-``DenseGraph``
-    The transition relation in CSR form: ``array('I')`` offset/target
-    pairs for the forward edges and a counting-sorted reverse view for
-    predecessor scans.  Row order is id order, so the layout itself is
-    hash-seed independent.
-
-Bitset helpers
-    Satisfaction sets travel as byte-per-state flag buffers
-    (``bytearray``) inside a solve and as packed little-endian big-int
-    masks at rest.  ``pre_exists`` / ``pre_forall`` are the predecessor
-    image operators (``pre∃``/``pre∀``) the bounded dynamic programs
-    and ``AX``/``EX`` reduce to; they take an optional numpy fast path
-    (``logical_or.reduceat`` over gathered edge segments) when the
-    candidate set is large enough to amortize array conversion, and a
-    pure-stdlib early-exit scan otherwise.  numpy is an optional
-    accelerator, never a dependency: every caller works bit-identically
-    without it.
-
-Shard ownership over ids is plain ``id % K`` (:func:`shard_of_id`) —
-contiguous, branch-free, and computable from a flat array, unlike the
-crc32-of-repr hash it retires from the hot path (see
-:func:`repro.automata.sharding.shard_of`, kept as the documented
-fallback for un-interned inputs).
-"""
-
-from __future__ import annotations
-
-import os
-from array import array
-from collections.abc import Iterable, Mapping
-
-try:  # pragma: no cover - exercised via the numpy-absent CI leg
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-__all__ = [
-    "DENSE_ENV",
-    "DENSE_PRODUCT_ENV",
-    "DENSE_STATE_FLOOR",
-    "DenseGraph",
-    "HAVE_NUMPY",
-    "StateInterner",
-    "flags_of_ids",
-    "flags_of_mask",
-    "ids_of_mask",
-    "mask_of_flags",
-    "mask_of_ids",
-    "resolve_dense",
-    "resolve_dense_product",
-    "shard_of_id",
-]
-
-#: Environment toggle for the dense checker core.  When set, it forces
-#: the mode for every checker (``REPRO_DENSE=0`` pins the legacy
-#: dict/set solvers, anything truthy pins the dense core); when unset,
-#: checkers pick per product size (:data:`DENSE_STATE_FLOOR`).
-DENSE_ENV = "REPRO_DENSE"
-
-#: Environment toggle for the dense *product BFS* (the id-space
-#: exploration of :class:`repro.automata.incremental.IncrementalProduct`).
-#: Deliberately separate from :data:`DENSE_ENV` so the two regimes can
-#: be pinned independently in CI; same truthiness convention.
-DENSE_PRODUCT_ENV = "REPRO_DENSE_PRODUCT"
-
-_FALSY = {"0", "false", "no", "off"}
-
-#: State-count floor for the automatic mode choice: below it, interning
-#: every state and converting satisfaction sets to flag buffers at each
-#: solve boundary costs more than the dict/set solvers' per-object tax
-#: saves, so small products (the warm loop's bread and butter) stay on
-#: the dict engine; at and above it the flat arrays win — decisively so
-#: on the bounded DPs, where the numpy kernels engage too.
+#: Kept only because ``benchmarks/e2e/worker.py`` counts iterations at or above it.
 DENSE_STATE_FLOOR = 2048
-
-#: Candidate-set size below which the stdlib early-exit scan beats the
-#: numpy gather/reduceat pipeline (array conversion is the fixed cost).
-NUMPY_KERNEL_FLOOR = 1024
-
-#: ``_BITS_OF[b]`` lists the set bit positions of byte value ``b``.
-_BITS_OF = tuple(
-    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
-)
-
-
-def resolve_dense(value: bool | None = None, state_count: int | None = None) -> bool:
-    """Resolve the dense-core toggle.
-
-    Precedence: an explicit ``value`` wins, then a set ``REPRO_DENSE``
-    environment variable, then the size heuristic — dense iff
-    ``state_count`` reaches :data:`DENSE_STATE_FLOOR`.  Callers that
-    have no product at hand (``state_count=None``) get the dense
-    default.
-    """
-    if value is not None:
-        return bool(value)
-    raw = os.environ.get(DENSE_ENV)
-    if raw is not None:
-        return raw.strip().lower() not in _FALSY
-    if state_count is None:
-        return True
-    return state_count >= DENSE_STATE_FLOOR
-
-
-def resolve_dense_product(
-    value: bool | None = None, state_count: int | None = None
-) -> bool:
-    """Resolve the dense product-BFS toggle.
-
-    Same precedence ladder as :func:`resolve_dense`, reading
-    ``REPRO_DENSE_PRODUCT`` instead: an explicit ``value`` wins, then
-    the environment, then the size heuristic against
-    :data:`DENSE_STATE_FLOOR` (``state_count`` is the *estimated* joint
-    state bound — the product of component sizes — since the reachable
-    set is only known after the exploration this toggle selects).
-    Callers with no estimate default to dense.
-    """
-    if value is not None:
-        return bool(value)
-    raw = os.environ.get(DENSE_PRODUCT_ENV)
-    if raw is not None:
-        return raw.strip().lower() not in _FALSY
-    if state_count is None:
-        return True
-    return state_count >= DENSE_STATE_FLOOR
-
-
-def shard_of_id(ident: int, shards: int) -> int:
-    """Shard ownership of an interned id: contiguous ``id % K``."""
-    return ident % shards
-
-
-# --------------------------------------------------------------- bitsets
-
-
-def mask_of_ids(ids: Iterable[int], size: int) -> int:
-    """Pack ids into a little-endian big-int bitset of ``size`` bits."""
-    buf = bytearray((size + 7) >> 3)
-    for ident in ids:
-        buf[ident >> 3] |= 1 << (ident & 7)
-    return int.from_bytes(buf, "little")
-
-
-def ids_of_mask(mask: int) -> list[int]:
-    """Unpack a bitset back into its sorted id list."""
-    out: list[int] = []
-    append = out.append
-    base = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
-        if byte:
-            for bit in _BITS_OF[byte]:
-                append(base + bit)
-        base += 8
-    return out
-
-
-def flags_of_mask(mask: int, size: int) -> bytearray:
-    """Expand a bitset into a byte-per-state flag buffer."""
-    raw = mask.to_bytes((size + 7) >> 3, "little")
-    if _np is not None and size >= NUMPY_KERNEL_FLOOR:
-        bits = _np.unpackbits(
-            _np.frombuffer(raw, dtype=_np.uint8), bitorder="little"
-        )[:size]
-        return bytearray(bits.tobytes())
-    flags = bytearray(size)
-    base = 0
-    for byte in raw:
-        if byte:
-            for bit in _BITS_OF[byte]:
-                flags[base + bit] = 1
-        base += 8
-    return flags
-
-
-def flags_of_ids(ids: "list[int]", size: int) -> bytearray:
-    """Byte-per-state flag buffer with exactly ``ids`` set.
-
-    The dense bounded DPs rebuild a membership buffer from a satisfied
-    id list once per layer, so this takes the same numpy fast path as
-    the image kernels when the list is large enough to amortize it.
-    """
-    if _np is not None and len(ids) >= NUMPY_KERNEL_FLOOR:
-        flags = _np.zeros(size, dtype=_np.uint8)
-        flags[_np.asarray(ids, dtype=_np.int64)] = 1
-        return bytearray(flags.tobytes())
-    flags = bytearray(size)
-    for ident in ids:
-        flags[ident] = 1
-    return flags
-
-
-def mask_of_flags(flags: bytearray | bytes) -> int:
-    """Pack a flag buffer back into a bitset."""
-    if _np is not None and len(flags) >= NUMPY_KERNEL_FLOOR:
-        packed = _np.packbits(
-            _np.frombuffer(bytes(flags), dtype=_np.uint8), bitorder="little"
-        )
-        return int.from_bytes(packed.tobytes(), "little")
-    buf = bytearray((len(flags) + 7) >> 3)
-    for ident, value in enumerate(flags):
-        if value:
-            buf[ident >> 3] |= 1 << (ident & 7)
-    return int.from_bytes(buf, "little")
-
-
-# -------------------------------------------------------------- interner
-
-
-class StateInterner:
-    """Append-only state ↔ contiguous-id bijection.
-
-    Ids are dense (``0..len-1``), assigned in repr-sorted order per
-    :meth:`extend` batch (or in first-seen order via :meth:`intern_ids`
-    when the caller's iteration order is itself deterministic), and
-    never change once assigned — the warm checker chain shares one
-    interner so ids survive learning steps.
-    """
-
-    __slots__ = ("_ids", "_states")
-
-    def __init__(self, states: Iterable[object] = ()):
-        self._ids: dict = {}
-        self._states: list = []
-        if states:
-            self.extend(states)
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __contains__(self, state: object) -> bool:
-        return state in self._ids
-
-    def __repr__(self) -> str:
-        return f"StateInterner({len(self._states)} states)"
-
-    def extend(self, states: Iterable[object]) -> int:
-        """Intern every not-yet-known state; return how many were added.
-
-        Fresh states are numbered in repr-sorted order so the id
-        assignment is independent of set-iteration (hash-seed) order.
-        Already-interned states keep their ids (delta extension).
-        """
-        ids = self._ids
-        fresh = [s for s in states if s not in ids]
-        if not fresh:
-            return 0
-        fresh.sort(key=repr)
-        store = self._states
-        added = 0
-        for state in fresh:
-            if state in ids:  # duplicate within one batch
-                continue
-            ids[state] = len(store)
-            store.append(state)
-            added += 1
-        return added
-
-    def intern_ids(self, states: Iterable[object]) -> list[int]:
-        """Intern unknown states in first-seen order; return every id.
-
-        The discovery-order twin of :meth:`extend` for callers whose
-        iteration order is already deterministic (the product BFS walks
-        canonical ``ordered_transitions`` slices, so its discovery
-        order never depends on the hash seed): one dict probe per
-        state, no repr materialization, and the ids come back aligned
-        with the input — exactly what the flat edge-target arrays need.
-        """
-        ids = self._ids
-        store = self._states
-        out = []
-        append = out.append
-        get = ids.get
-        for state in states:
-            ident = get(state)
-            if ident is None:
-                ident = len(store)
-                ids[state] = ident
-                store.append(state)
-            append(ident)
-        return out
-
-    def id_of(self, state: object) -> int:
-        return self._ids[state]
-
-    def get(self, state: object, default: int | None = None) -> int | None:
-        return self._ids.get(state, default)
-
-    def resolve(self, ident: int) -> object:
-        return self._states[ident]
-
-    def ids_of(self, states: Iterable[object]) -> list[int]:
-        ids = self._ids
-        return [ids[s] for s in states]
-
-    def states_of(self, idents: Iterable[int]) -> frozenset:
-        store = self._states
-        return frozenset(store[i] for i in idents)
-
-    def mask_of(self, states: Iterable[object], size: int | None = None) -> int:
-        return mask_of_ids(self.ids_of(states), len(self) if size is None else size)
-
-    def flags_of(self, states: Iterable[object], size: int | None = None) -> bytearray:
-        """Byte-per-state membership flags sized to the interner (or ``size``)."""
-        flags = bytearray(len(self) if size is None else size)
-        ids = self._ids
-        for state in states:
-            flags[ids[state]] = 1
-        return flags
-
-
-# ------------------------------------------------------------- CSR graph
-
-
-class DenseGraph:
-    """CSR adjacency over interned ids, forward and reverse.
-
-    ``fwd_targets[fwd_offsets[i]:fwd_offsets[i+1]]`` are the successor
-    ids of state ``i`` (deduplicated, repr-sorted — inherited from the
-    checker's successor tuples); the reverse arrays are built by
-    counting sort, so each predecessor list is ordered by source id.
-    States of the interner without a row (earlier automaton versions)
-    simply have empty rows.
-    """
-
-    __slots__ = (
-        "size",
-        "fwd_offsets",
-        "fwd_targets",
-        "rev_offsets",
-        "rev_sources",
-        "_np_fwd",
-    )
-
-    def __init__(self, size, fwd_offsets, fwd_targets, rev_offsets, rev_sources):
-        self.size = size
-        self.fwd_offsets = fwd_offsets
-        self.fwd_targets = fwd_targets
-        self.rev_offsets = rev_offsets
-        self.rev_sources = rev_sources
-        self._np_fwd = None
-
-    @classmethod
-    def from_successors(
-        cls, interner: StateInterner, successors: Mapping[object, tuple]
-    ) -> "DenseGraph":
-        n = len(interner)
-        ids = interner._ids
-        rows: list[tuple[int, ...]] = [()] * n
-        for state, targets in successors.items():
-            rows[ids[state]] = tuple(ids[t] for t in targets)
-        fwd_offsets = array("I", bytes(4 * (n + 1)))
-        total = 0
-        for sid in range(n):
-            total += len(rows[sid])
-            fwd_offsets[sid + 1] = total
-        fwd_targets = array("I", bytes(4 * total))
-        cursor = 0
-        indegree = [0] * (n + 1)
-        for sid in range(n):
-            for target in rows[sid]:
-                fwd_targets[cursor] = target
-                cursor += 1
-                indegree[target + 1] += 1
-        rev_offsets = array("I", bytes(4 * (n + 1)))
-        running = 0
-        for sid in range(n + 1):
-            running += indegree[sid]
-            rev_offsets[sid] = running
-        rev_sources = array("I", bytes(4 * total))
-        fill = list(rev_offsets[:n])
-        for sid in range(n):
-            for target in rows[sid]:
-                rev_sources[fill[target]] = sid
-                fill[target] += 1
-        return cls(n, fwd_offsets, fwd_targets, rev_offsets, rev_sources)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.fwd_targets)
-
-    def successor_ids(self, ident: int) -> array:
-        return self.fwd_targets[self.fwd_offsets[ident] : self.fwd_offsets[ident + 1]]
-
-    def predecessor_ids(self, ident: int) -> array:
-        return self.rev_sources[self.rev_offsets[ident] : self.rev_offsets[ident + 1]]
-
-    # --------------------------------------------------- image operators
-
-    def pre_exists(
-        self,
-        member_flags: bytearray | bytes,
-        candidates: Iterable[int],
-        *,
-        empty_satisfies: bool = False,
-    ) -> list[int]:
-        """``{i ∈ candidates : succ(i) ∩ member ≠ ∅}`` (``pre∃``).
-
-        ``empty_satisfies`` controls deadlock rows: ``EX`` wants them
-        out (default), bounded ``EG`` wants them in (a maximal path may
-        end there).
-        """
-        if (
-            _np is not None
-            and isinstance(candidates, (list, array))
-            and len(candidates) >= NUMPY_KERNEL_FLOOR
-        ):
-            return self._np_pre(
-                member_flags, candidates, universal=False, empty_value=empty_satisfies
-            )
-        offsets = self.fwd_offsets
-        targets = self.fwd_targets
-        out: list[int] = []
-        append = out.append
-        for ident in candidates:
-            lo = offsets[ident]
-            hi = offsets[ident + 1]
-            if lo == hi:
-                if empty_satisfies:
-                    append(ident)
-                continue
-            for edge in range(lo, hi):
-                if member_flags[targets[edge]]:
-                    append(ident)
-                    break
-        return out
-
-    def pre_forall(
-        self,
-        member_flags: bytearray | bytes,
-        candidates: Iterable[int],
-        *,
-        require_successor: bool,
-    ) -> list[int]:
-        """``{i ∈ candidates : succ(i) ⊆ member}`` (``pre∀``).
-
-        ``require_successor=True`` drops deadlock rows (``AF``-style
-        obligations fail there); ``False`` keeps them (``AX``/``AG``
-        are vacuously true at a deadlock).
-        """
-        if (
-            _np is not None
-            and isinstance(candidates, (list, array))
-            and len(candidates) >= NUMPY_KERNEL_FLOOR
-        ):
-            return self._np_pre(
-                member_flags,
-                candidates,
-                universal=True,
-                empty_value=not require_successor,
-            )
-        offsets = self.fwd_offsets
-        targets = self.fwd_targets
-        out: list[int] = []
-        append = out.append
-        for ident in candidates:
-            lo = offsets[ident]
-            hi = offsets[ident + 1]
-            if lo == hi:
-                if not require_successor:
-                    append(ident)
-                continue
-            for edge in range(lo, hi):
-                if not member_flags[targets[edge]]:
-                    break
-            else:
-                append(ident)
-        return out
-
-    def _np_csr(self):
-        cached = self._np_fwd
-        if cached is None:
-            cached = (
-                _np.frombuffer(self.fwd_offsets, dtype=_np.uint32).astype(_np.int64),
-                _np.frombuffer(self.fwd_targets, dtype=_np.uint32).astype(_np.int64)
-                if len(self.fwd_targets)
-                else _np.zeros(0, dtype=_np.int64),
-            )
-            self._np_fwd = cached
-        return cached
-
-    def _np_pre(self, member_flags, candidates, *, universal, empty_value):
-        np = _np
-        offsets, targets = self._np_csr()
-        cand = np.asarray(candidates, dtype=np.int64)
-        starts = offsets[cand]
-        counts = offsets[cand + 1] - starts
-        nonempty = counts > 0
-        total = int(counts.sum())
-        result = np.full(len(cand), bool(empty_value))
-        if total:
-            bounds = np.cumsum(counts) - counts
-            gather = np.arange(total, dtype=np.int64) + np.repeat(
-                starts - bounds, counts
-            )
-            member = np.frombuffer(bytes(member_flags), dtype=np.uint8).view(np.bool_)
-            values = member[targets[gather]]
-            segment_starts = bounds[nonempty]
-            if universal:
-                result[nonempty] = np.logical_and.reduceat(values, segment_starts)
-            else:
-                result[nonempty] = np.logical_or.reduceat(values, segment_starts)
-        return cand[result].tolist()

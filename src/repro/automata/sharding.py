@@ -1,327 +1,44 @@
-"""Sharded parallel exploration support for the product BFS.
+"""A shared thread pool for the synthesis loop's side work.
 
-The incremental product (:class:`~repro.automata.incremental.IncrementalProduct`)
-re-explores the synchronous product from its initial joint states after
-every learning step.  This module provides the machinery to split that
-BFS into ``K`` shards keyed by a *stable* joint-state hash:
+Verification runs sequentially; two loop steps still fan out onto
+threads:
 
-:func:`shard_of`
-    Deterministic shard assignment.  ``hash()`` is salted per process
-    (``PYTHONHASHSEED``), so the shard of a joint state is derived from
-    the CRC-32 of its ``repr`` — the same canonical string that keys
-    every deterministic sort in the pipeline.  The assignment is
-    therefore identical across processes, hash seeds, and runs.
-    This is the *fallback* for un-interned inputs: once states carry
-    interned ids (:mod:`repro.automata.interning`), ownership is plain
-    ``id % K`` (:func:`~repro.automata.interning.shard_of_id`) — no
-    repr rendering, no hashing — which is what the dense checker core
-    uses on its hot path.
+* batched monitor replays (several counterexamples re-run against the
+  learned model at once) use :meth:`WorkerPool.map`;
+* per-test wall-clock deadlines of the robust executor use
+  :meth:`WorkerPool.call`.
 
-:func:`select_strategy`
-    Picks how the shard workers execute: inline (``sequential``) for a
-    single shard or a tiny dirty region, a shared thread pool for
-    ordinary workloads, and a forked process pool for very large
-    re-explorations where per-shard pickling is amortised.  A forced
-    strategy can be passed through the ``strategy=`` knobs instead.
-
-:class:`WorkerPool`
-    A lazily created, reusable pool of executors.  One process-wide
-    instance (:func:`get_pool`) backs every product and closure cache,
-    so repeated updates never pay executor start-up costs twice.
-
-:class:`ShardReport`
-    The per-shard dirty report of one product update: states explored,
-    cache hits/misses, cross-shard frontier handoffs, merge conflicts,
-    and the shard's dirty (re-built) joint states.  The verifier merges
-    these reports — the union of the dirty sets seeds the warm model
-    checker — and surfaces the counters on ``IterationRecord``.
-
-Everything here is deliberately *scheduling-insensitive*: shard
-assignment, exploration, and merge order are all derived from canonical
-state order, so the merged product is bit-identical to the sequential
-exploration for every shard count and every execution strategy.
+One process-wide instance (:func:`get_pool`) creates its executor
+lazily and reuses it, so repeated iterations never pay thread start-up
+twice.  ``map`` preserves task order, so results never depend on
+scheduling.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
-import zlib
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from ..errors import CompositionError, TestTimeoutError
+from ..errors import TestTimeoutError
 
-__all__ = [
-    "PARALLELISM_ENV",
-    "CHECKER_PARALLELISM_ENV",
-    "PRODUCT_STRATEGY_ENV",
-    "SEQUENTIAL_WORKLOAD_FLOOR",
-    "PROCESS_WORKLOAD_FLOOR",
-    "FLAT_PROCESS_WORKLOAD_FLOOR",
-    "Strategy",
-    "ShardCrew",
-    "ShardReport",
-    "WorkerPool",
-    "check_strategy",
-    "get_pool",
-    "resolve_parallelism",
-    "resolve_checker_parallelism",
-    "resolve_product_strategy",
-    "select_strategy",
-    "shard_of",
-]
-
-#: Environment variable consulted when a ``parallelism=`` knob is left
-#: at ``None`` — lets CI run the whole suite sharded without touching
-#: call sites.
-PARALLELISM_ENV = "REPRO_PARALLELISM"
-
-#: Environment variable consulted when a ``checker_parallelism=`` knob
-#: is left at ``None``.  Overrides the fallback (usually the product
-#: ``parallelism``), so CI can shard every model-checker fixpoint
-#: independently of the product exploration.
-CHECKER_PARALLELISM_ENV = "REPRO_CHECKER_PARALLELISM"
-
-#: Environment variable consulted when a ``product_strategy=`` knob is
-#: left at ``None`` — lets CI force every dense product exploration
-#: through one execution strategy (e.g. ``process``) suite-wide, the
-#: same pattern as :data:`PARALLELISM_ENV`.
-PRODUCT_STRATEGY_ENV = "REPRO_PRODUCT_STRATEGY"
-
-#: Below this many (estimated) joint states to re-explore, shard workers
-#: run inline: the dirty region of a single learning step is usually a
-#: handful of states, and pool dispatch would dominate.
-SEQUENTIAL_WORKLOAD_FLOOR = 64
-
-#: Above this many (estimated) joint states, a forked process pool is
-#: used (where ``fork`` is available): the exploration work then dwarfs
-#: the per-shard pickling of components and cache slices.
-PROCESS_WORKLOAD_FLOOR = 200_000
-
-#: The much lower process floor for *flat* shard payloads.  The dense
-#: product BFS ships frontiers as ``array('I')`` id batches and inherits
-#: the cache snapshot through ``fork`` instead of pickling per-shard
-#: dict slices, so a forked crew amortises its start-up cost orders of
-#: magnitude earlier than the legacy slice-shipping path.
-FLAT_PROCESS_WORKLOAD_FLOOR = 4096
-
-Strategy = Literal["sequential", "thread", "process"]
-
-_STRATEGIES = ("sequential", "thread", "process")
+__all__ = ["WorkerPool", "get_pool"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def resolve_parallelism(value: int | None) -> int:
-    """Normalize a ``parallelism=`` knob: ``None`` defers to the environment."""
-    if value is None:
-        raw = os.environ.get(PARALLELISM_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise CompositionError(
-                f"{PARALLELISM_ENV} must be a positive integer, got {raw!r}"
-            ) from None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise CompositionError(f"parallelism must be a positive integer, got {value!r}")
-    return value
-
-
-def resolve_checker_parallelism(value: int | None, *, fallback: int | None = None) -> int:
-    """Normalize a ``checker_parallelism=`` knob.
-
-    ``None`` defers to :data:`CHECKER_PARALLELISM_ENV`; when that is
-    unset too, the checker follows ``fallback`` — conventionally the
-    product ``parallelism``, so one knob shards the whole pipeline —
-    or 1 when no fallback is given.
-    """
-    if value is None:
-        raw = os.environ.get(CHECKER_PARALLELISM_ENV, "").strip()
-        if not raw:
-            return resolve_parallelism(fallback) if fallback is not None else 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise CompositionError(
-                f"{CHECKER_PARALLELISM_ENV} must be a positive integer, got {raw!r}"
-            ) from None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise CompositionError(
-            f"checker_parallelism must be a positive integer, got {value!r}"
-        )
-    return value
-
-
-def check_strategy(strategy: str | None) -> str | None:
-    """Validate a forced strategy knob (``None`` means automatic)."""
-    if strategy is not None and strategy not in _STRATEGIES:
-        raise CompositionError(
-            f"unknown sharding strategy {strategy!r}; expected one of {_STRATEGIES}"
-        )
-    return strategy
-
-
-def resolve_product_strategy(value: str | None) -> str | None:
-    """Normalize a ``product_strategy=`` knob: ``None`` defers to the environment.
-
-    Reads :data:`PRODUCT_STRATEGY_ENV` when unset; the result (or
-    ``None`` for automatic selection) is validated by
-    :func:`check_strategy`.
-    """
-    if value is None:
-        raw = os.environ.get(PRODUCT_STRATEGY_ENV, "").strip().lower()
-        value = raw or None
-    return check_strategy(value)
-
-
-def shard_of(state: object, shards: int) -> int:
-    """The owning shard of a joint state, stable across processes and seeds.
-
-    Derived from the CRC-32 of ``repr(state)`` rather than ``hash()``:
-    the built-in hash of strings (and hence of tuples containing them)
-    is salted per process, which would make shard assignment — and with
-    it every per-shard counter — irreproducible.
-
-    Rendering and hashing the repr costs far more than the modulo that
-    follows it, so this is documented as the fallback for *un-interned*
-    inputs (the product BFS, whose states don't exist before
-    exploration discovers them).  Interned states take
-    :func:`repro.automata.interning.shard_of_id` instead.
-    """
-    if shards == 1:
-        return 0
-    return zlib.crc32(repr(state).encode("utf-8", "backslashreplace")) % shards
-
-
-def _fork_available() -> bool:
-    try:
-        import multiprocessing
-
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return False
-
-
-def select_strategy(workload: int, parallelism: int, *, flat: bool = False) -> Strategy:
-    """Pick an execution strategy from the estimated re-exploration size.
-
-    ``flat=True`` marks workloads whose shard payloads are flat id
-    arrays (the dense product BFS): the process pool then engages at
-    :data:`FLAT_PROCESS_WORKLOAD_FLOOR` instead of the legacy
-    slice-shipping floor :data:`PROCESS_WORKLOAD_FLOOR`.  Flat
-    workloads below that floor stay ``sequential`` — the dense BFS has
-    a chained single-worklist schedule that attributes work to shards
-    analytically, and a thread crew can never beat it on a CPU-bound
-    pure-Python exploration (the GIL serialises the workers while the
-    level-synchronised rounds add barrier and merge overhead).  The
-    legacy dict path keeps ``thread`` as its intermediate tier because
-    its per-shard cache slices make the inline schedule cache-hostile.
-    """
-    if parallelism <= 1 or workload < SEQUENTIAL_WORKLOAD_FLOOR:
-        return "sequential"
-    floor = FLAT_PROCESS_WORKLOAD_FLOOR if flat else PROCESS_WORKLOAD_FLOOR
-    if workload >= floor and _fork_available():
-        return "process"
-    return "sequential" if flat else "thread"
-
-
-@dataclass(frozen=True)
-class ShardReport:
-    """Dirty report of one shard of one product update."""
-
-    shard: int  #: shard index in ``range(parallelism)``
-    states_explored: int  #: joint states popped from this shard's frontier
-    hits: int  #: explored states whose cached edges were reused
-    misses: int  #: explored states whose edges were re-derived
-    handoffs: int  #: cross-shard target discoveries emitted by this shard
-    merge_conflicts: int  #: handoffs addressed to this shard that were already claimed
-    dirty_states: frozenset  #: the joint states this shard re-built (checker seeds)
-
-
-class ShardCrew:
-    """One exploration's worth of shard workers over flat id payloads.
-
-    The dense product BFS claims its workers *per update*, not per
-    round: entering the crew pins the execution strategy (with an honest
-    fallback to ``thread`` when ``process`` is requested but ``fork`` is
-    unavailable), and the forked worker pool — created lazily on the
-    first round that has more than one shard task — snapshots the
-    parent's interned entry table by copy-on-write inheritance, so the
-    per-round traffic is nothing but pickled ``array('I')`` batches and
-    flat delta records.  Lazy forking is sound because every entry a
-    worker may need to *read* was installed by a previous update (states
-    are explored at most once per update, and entries written mid-update
-    belong to states already popped from the frontier), hence is present
-    in any snapshot taken during this update.
-
-    ``map`` preserves task order for every strategy — the merge protocol
-    relies on it.  Crews must be closed (use ``with``); the forked pool
-    is terminated and joined on exit so no workers outlive the update.
-    """
-
-    def __init__(self, pool: "WorkerPool", strategy: str, workers: int) -> None:
-        self._pool = pool
-        self.requested = strategy
-        self.strategy = strategy
-        self.workers = workers
-        self._mp_pool = None
-        pool.stats["pool_crew_entries"] += 1
-        if strategy == "process" and not _fork_available():
-            self.strategy = "thread"
-            pool.stats["pool_crew_fallbacks"] += 1
-
-    def __enter__(self) -> "ShardCrew":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._mp_pool is not None:
-            self._mp_pool.terminate()
-            self._mp_pool.join()
-            self._mp_pool = None
-
-    def _forked(self):
-        if self._mp_pool is None:
-            import multiprocessing
-
-            self._mp_pool = multiprocessing.get_context("fork").Pool(self.workers)
-            self._pool.stats["pool_crew_forks"] += 1
-        return self._mp_pool
-
-    def map(
-        self, function: Callable[[_T], _R], tasks: Sequence[_T]
-    ) -> list[_R]:
-        """Run ``function`` over ``tasks``, returning results in task order."""
-        self._pool.stats["pool_map_calls"] += 1
-        self._pool.stats["pool_tasks"] += len(tasks)
-        if len(tasks) <= 1 or self.strategy == "sequential":
-            self._pool.stats["pool_inline_calls"] += 1
-            return [function(task) for task in tasks]
-        if self.strategy == "process":
-            return self._forked().map(function, tasks)
-        return self._pool.map("thread", function, tasks, workers=self.workers)
-
-
 class WorkerPool:
-    """Reusable executors behind the sharded exploration.
+    """A lazily created, reusable thread executor.
 
-    Executors are created lazily per strategy and grown (re-created)
-    when a caller asks for more workers than the current pool holds;
-    they are shared by every product and closure cache in the process so
-    repeated updates never pay start-up costs.  ``map`` preserves task
-    order, which the merge protocol relies on for determinism.
+    The executor is re-created when a caller asks for more workers than
+    it currently holds.
     """
 
     def __init__(self) -> None:
-        self._executors: dict[str, tuple[int, Executor]] = {}
+        self._executor: ThreadPoolExecutor | None = None
+        self._workers = 0
         self.stats: dict[str, int] = {
             "pool_map_calls": 0,
             "pool_tasks": 0,
@@ -329,61 +46,30 @@ class WorkerPool:
             "pool_executor_creations": 0,
             "pool_deadline_calls": 0,
             "pool_deadline_timeouts": 0,
-            "pool_crew_entries": 0,
-            "pool_crew_forks": 0,
-            "pool_crew_fallbacks": 0,
         }
 
-    def crew(self, strategy: str, workers: int) -> ShardCrew:
-        """Claim a per-update :class:`ShardCrew` (see its docstring)."""
-        return ShardCrew(self, strategy, workers)
-
-    def _executor(self, strategy: str, workers: int) -> Executor:
-        current = self._executors.get(strategy)
-        if current is not None and current[0] >= workers:
-            return current[1]
-        if current is not None:
-            current[1].shutdown(wait=True)
-        if strategy == "thread":
-            executor: Executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-shard"
-            )
-        elif strategy == "process":
-            import multiprocessing
-
-            executor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork")
-            )
-        else:  # pragma: no cover - guarded by map()
-            raise CompositionError(f"no executor for strategy {strategy!r}")
-        self._executors[strategy] = (workers, executor)
+    def _threads(self, workers: int) -> ThreadPoolExecutor:
+        if self._executor is not None and self._workers >= workers:
+            return self._executor
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+        self._executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-pool")
+        self._workers = workers
         self.stats["pool_executor_creations"] += 1
-        return executor
+        return self._executor
 
     def map(
-        self,
-        strategy: str,
-        function: Callable[[_T], _R],
-        tasks: Sequence[_T],
-        *,
-        workers: int,
+        self, function: Callable[[_T], _R], tasks: Sequence[_T], *, workers: int
     ) -> list[_R]:
-        """Run ``function`` over ``tasks``, returning results in task order."""
+        """Run ``function`` over ``tasks`` on threads, results in task order."""
         self.stats["pool_map_calls"] += 1
         self.stats["pool_tasks"] += len(tasks)
-        if strategy == "sequential" or len(tasks) <= 1:
+        if len(tasks) <= 1:
             self.stats["pool_inline_calls"] += 1
             return [function(task) for task in tasks]
-        executor = self._executor(strategy, workers)
-        return list(executor.map(function, tasks))
+        return list(self._threads(workers).map(function, tasks))
 
-    def call(
-        self,
-        function: Callable[[], _R],
-        *,
-        timeout: float,
-        workers: int = 1,
-    ) -> _R:
+    def call(self, function: Callable[[], _R], *, timeout: float) -> _R:
         """Run ``function`` on a pool thread under a wall-clock deadline.
 
         The robust test executor routes per-test deadlines through here
@@ -396,8 +82,7 @@ class WorkerPool:
         stalls are finite (injected hangs always are).
         """
         self.stats["pool_deadline_calls"] += 1
-        executor = self._executor("thread", max(workers, 1))
-        future = executor.submit(function)
+        future = self._threads(1).submit(function)
         try:
             return future.result(timeout=timeout)
         except FutureTimeoutError:
@@ -419,9 +104,10 @@ class WorkerPool:
         registry.absorb(self.stats)
 
     def shutdown(self) -> None:
-        for _, executor in self._executors.values():
-            executor.shutdown(wait=False, cancel_futures=True)
-        self._executors.clear()
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = None
+        self._workers = 0
 
 
 _POOL = WorkerPool()
@@ -429,13 +115,5 @@ atexit.register(_POOL.shutdown)
 
 
 def get_pool() -> WorkerPool:
-    """The process-wide worker pool shared by all sharded explorations."""
+    """The process-wide worker pool."""
     return _POOL
-
-
-def partition(items: Iterable[_T], shards: int) -> list[list[_T]]:
-    """Split items into per-shard lists by :func:`shard_of`, order-preserving."""
-    buckets: list[list[_T]] = [[] for _ in range(shards)]
-    for item in items:
-        buckets[shard_of(item, shards)].append(item)
-    return buckets

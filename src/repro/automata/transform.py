@@ -179,8 +179,8 @@ def pad_states(
     determinism preserved — at most one reaction per ``(state, inputs)``
     pair) but are unreachable from the initial states, so the language,
     labeling, and every verdict over the original part are untouched
-    while ``|S|`` — and with it any state-count heuristic such as the
-    dense-core floor or an assumed L* state bound — grows.
+    while ``|S|`` — and with it any state-count heuristic such as an
+    assumed L* state bound — grows.
     """
     import random
 

@@ -38,7 +38,7 @@ from .muml.verification import ArchitectureVerificationReport, verify_architectu
 from .synthesis.initial import StateLabeler
 from .synthesis.iterate import IntegrationSynthesizer, SynthesisResult, Verdict
 from .synthesis.multi import MultiLegacySynthesizer, MultiSynthesisResult
-from .synthesis.settings import SynthesisSettings, _UNSET, merge_legacy_settings
+from .synthesis.settings import SynthesisSettings
 
 __all__ = ["IntegrationReport", "SynthesisSettings", "integrate"]
 
@@ -108,9 +108,6 @@ def integrate(
     extra_properties: "dict[str, list[Formula]] | None" = None,
     system_properties: "list[Formula] | tuple[Formula, ...]" = (),
     settings: SynthesisSettings | None = None,
-    max_iterations: int = _UNSET,  # type: ignore[assignment]
-    counterexamples_per_iteration: int = _UNSET,  # type: ignore[assignment]
-    parallelism: int | None = _UNSET,  # type: ignore[assignment]
 ) -> IntegrationReport:
     """Verify the modeled part, then integrate every legacy placement.
 
@@ -118,20 +115,9 @@ def integrate(
     harnesses; placements without a component are reported (and fail
     the report) rather than silently skipped.  ``settings`` carries the
     loop-tuning knobs (:class:`SynthesisSettings`) shared by every
-    placement — single and multi-legacy alike; the deprecated
-    ``max_iterations`` / ``counterexamples_per_iteration`` /
-    ``parallelism`` keywords forward into it.  The parallelism knobs
-    shard the product re-exploration and the checker fixpoints (see
-    :mod:`repro.automata.sharding`); verdicts and learned models are
-    bit-identical for every value.
+    placement — single and multi-legacy alike.
     """
-    settings = merge_legacy_settings(
-        settings,
-        "integrate",
-        max_iterations=max_iterations,
-        counterexamples_per_iteration=counterexamples_per_iteration,
-        parallelism=parallelism,
-    )
+    settings = settings if settings is not None else SynthesisSettings()
     labelers = labelers or {}
     universes = universes or {}
     extra_properties = extra_properties or {}

@@ -548,7 +548,12 @@ def resolve_remote(value) -> RemotePolicy | None:
     raw = os.environ.get(REMOTE_ENV, "").strip().lower()
     if raw in ("", "0", "false", "no", "off"):
         return None
-    return RemotePolicy()
+    if raw in ("1", "true", "yes", "on"):
+        return RemotePolicy()
+    raise SynthesisError(
+        f"{REMOTE_ENV} must be one of 1/true/yes/on or 0/false/no/off, "
+        f"got {os.environ[REMOTE_ENV]!r}"
+    )
 
 
 # -------------------------------------------------------------------- proxy

@@ -17,52 +17,6 @@ rather than whole-state-space sweeps.  Bounded (CCTL) operators use a
 backward dynamic program over the remaining window, exploiting that
 every transition takes exactly one time unit.
 
-Dense integer-indexed core (``dense=True``, the default for large products)
----------------------------------------------------------------------------
-
-On products of at least
-:data:`~repro.automata.interning.DENSE_STATE_FLOOR` states (or whenever
-forced via ``dense=True`` / ``REPRO_DENSE``), every solver runs over
-the dense core of
-:mod:`repro.automata.interning`: states are interned to contiguous ids
-(one :class:`~repro.automata.interning.StateInterner` shared down the
-warm chain, so ids survive learning steps), the transition relation is
-CSR adjacency arrays, membership is byte-per-state flag buffers, and
-the bounded DPs are per-layer ``pre∀``/``pre∃`` images (numpy-
-accelerated when available and worthwhile, pure stdlib otherwise).
-Shard ownership is ``id % K`` instead of crc32-of-repr.  Everything
-observable — sat sets, verdicts, ``fixpoint_work`` and its per-shard
-split, handoff counts — is bit-identical to the legacy dict/set
-solvers, which remain available via ``dense=False`` (or
-``REPRO_DENSE=0``) as the differential oracle.  Only the state↔id
-conversion crosses the boundary: caches, warm structures, and the
-public API keep frozensets, so dense and dict checkers warm-start from
-each other freely.
-
-Sharded fixpoints (``parallelism=K``)
--------------------------------------
-
-With ``parallelism=K > 1`` every unbounded fixpoint solve is split into
-``K`` shards.  The dense core owns states by ``id % K``; the legacy
-dict solvers key ownership by the same stable crc32-of-repr the
-product BFS uses (:func:`~repro.automata.sharding.shard_of`).  Each
-shard runs a private worklist over the states it owns; discoveries
-whose predecessors live in another shard are emitted as *handoffs* and
-routed between rounds, in shard order, until no shard holds work — a
-global fixpoint.  Because the fixpoints are confluent (chaotic
-iteration converges to the same set regardless of processing order) and
-every state is admitted/removed by exactly one owner shard, the
-satisfaction sets, verdicts, counterexamples, and the total
-``fixpoint_work`` counter are bit-identical to the sequential solver
-for every shard count, execution strategy, and scheduling order; only
-the per-shard breakdown (:attr:`CheckerStats.shard_fixpoint_work`,
-:attr:`CheckerStats.shard_handoffs`) varies with ``K``.  Shard workers
-execute on the reusable worker pool of :mod:`repro.automata.sharding`
-— inline below the workload floor, threads above it (fixpoints close
-over the checker's predecessor maps, so forked processes are never
-worth the pickling and a forced ``strategy="process"`` is clamped to
-threads).
-
 Warm start (incremental re-checking)
 ------------------------------------
 
@@ -81,22 +35,11 @@ re-verification after a small learning step nearly free (see
 
 from __future__ import annotations
 
-import time
-from array import array
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..automata.automaton import Automaton, State
-from ..automata.interning import DenseGraph, StateInterner, flags_of_ids, resolve_dense
-from ..automata.sharding import (
-    WorkerPool,
-    check_strategy,
-    get_pool,
-    resolve_checker_parallelism,
-    select_strategy,
-    shard_of,
-)
 from ..errors import FormulaError
 from ..obs.tracer import NULL_TRACER
 from .formulas import (
@@ -152,25 +95,6 @@ class CheckerStats:
     sat_computed: int = 0  #: formulas evaluated from scratch
     affected_states: int = 0  #: size of the affected region (0 when cold)
     fixpoint_work: int = 0  #: worklist insertions/removals across all fixpoints
-    shards: int = 1  #: shard count of the checker's fixpoint solves
-    shard_handoffs: int = 0  #: cross-shard worklist handoffs across all solves
-    dense_states: int = 0  #: interned ids resident in the dense core (0 = dict mode)
-    bitset_words: int = 0  #: 64-bit words per dense satisfaction bitset
-    _sharded_work: list[int] = field(default_factory=list, repr=False)
-
-    @property
-    def shard_fixpoint_work(self) -> tuple[int, ...]:
-        """Per-shard split of :attr:`fixpoint_work`.
-
-        Work done outside the sharded solvers (bounded-operator dynamic
-        programs, which stay sequential) is attributed to shard 0, so
-        ``sum(shard_fixpoint_work) == fixpoint_work`` always holds.
-        """
-        if self.shards <= 1 or not self._sharded_work:
-            return (self.fixpoint_work,) + (0,) * (self.shards - 1)
-        work = list(self._sharded_work)
-        work[0] += self.fixpoint_work - sum(work)
-        return tuple(work)
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -180,11 +104,6 @@ class CheckerStats:
             "checker_sat_computed": self.sat_computed,
             "checker_affected_states": self.affected_states,
             "checker_fixpoint_work": self.fixpoint_work,
-            "checker_shards": self.shards,
-            "checker_shard_fixpoint_work": list(self.shard_fixpoint_work),
-            "checker_shard_handoffs": self.shard_handoffs,
-            "checker_dense_states": self.dense_states,
-            "checker_bitset_words": self.bitset_words,
         }
 
     def publish_to(self, registry) -> None:
@@ -228,32 +147,9 @@ class ModelChecker:
         automaton.  States absent from the warm automaton are treated as
         dirty automatically; removed states need no mention (their
         erstwhile predecessors must have changed and hence be listed).
-    parallelism:
-        Shard count for the unbounded fixpoint solves (see the module
-        docstring).  ``None`` defers to ``REPRO_CHECKER_PARALLELISM``,
-        defaulting to 1 (sequential).  Results are bit-identical for
-        every value.
-    strategy:
-        Force how shard workers execute (``sequential``/``thread``;
-        ``process`` is accepted but clamped to ``thread``).  ``None``
-        picks by workload, like the product BFS.
-    pool:
-        The :class:`~repro.automata.sharding.WorkerPool` to run shard
-        workers on; defaults to the process-wide shared pool.
-    dense:
-        Run the fixpoint solvers over the dense integer-indexed core
-        (interned ids + CSR adjacency + flag buffers) instead of the
-        legacy dict/set worklists.  ``None`` defers to ``REPRO_DENSE``
-        when set, otherwise picks dense iff the product has at least
-        :data:`~repro.automata.interning.DENSE_STATE_FLOOR` states —
-        below that, interning and flag conversion cost more than the
-        per-object tax they remove.  Results, verdicts, and every work
-        counter are bit-identical either way — the dict solvers remain
-        as the differential oracle.
     tracer:
         A :class:`repro.obs.Tracer` receiving ``checker.fixpoint`` /
-        ``checker.bounded`` spans and per-shard ``checker.shard_round``
-        spans (on ``checker/shard-K`` tracks).  Defaults to the no-op
+        ``checker.bounded`` spans.  Defaults to the no-op
         tracer; the environment is deliberately *not* consulted here —
         only the synthesis entry points resolve ``REPRO_TRACE``.
     """
@@ -264,21 +160,11 @@ class ModelChecker:
         *,
         warm_from: "ModelChecker | None" = None,
         dirty_states: Iterable[State] = (),
-        parallelism: int | None = None,
-        strategy: str | None = None,
-        pool: WorkerPool | None = None,
-        dense: bool | None = None,
         tracer=None,
     ):
         self.automaton = automaton
-        self.parallelism = resolve_checker_parallelism(parallelism)
-        self.strategy = check_strategy(strategy)
-        self._pool = pool if pool is not None else get_pool()
-        self.dense = resolve_dense(dense, state_count=len(automaton.states))
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.stats = CheckerStats(shards=self.parallelism)
-        if self.parallelism > 1:
-            self.stats._sharded_work = [0] * self.parallelism
+        self.stats = CheckerStats()
         states = automaton.states
 
         old_successors = warm_from._successors if warm_from is not None else None
@@ -349,41 +235,6 @@ class ModelChecker:
                 attach(state, successors[state])
         self._predecessors = predecessors
         self._deadlocks = frozenset(s for s, succ in successors.items() if not succ)
-        self._interner: StateInterner | None = None
-        self._graph: DenseGraph | None = None
-        self._owner_flags: bytearray | None = None
-        if self.dense:
-            # One interner travels down the warm chain: surviving states
-            # keep their ids, fresh ones are appended in repr-sorted
-            # order (delta extension), so shard ownership (id % K) and
-            # every dense structure stay stable across learning steps.
-            warm_interner = warm_from._interner if warm_from is not None else None
-            interner = warm_interner if warm_interner is not None else StateInterner()
-            interner.extend(states)
-            self._interner = interner
-            self.stats.dense_states = len(interner)
-            self.stats.bitset_words = (len(interner) + 63) // 64
-            # The CSR graph is built lazily on the first dense solve —
-            # warm iterations whose affected region is empty answer
-            # everything from the cache and never need it.
-        self._owner: dict[State, int] | None = None
-        if self.parallelism > 1 and not self.dense:
-            # crc32-of-repr ownership, reused from the warm checker when
-            # the shard count matches (most states survive a learning step).
-            shards = self.parallelism
-            warm_owner = (
-                warm_from._owner
-                if warm_from is not None and warm_from.parallelism == shards
-                else None
-            )
-            if warm_owner is None:
-                self._owner = {state: shard_of(state, shards) for state in states}
-            else:
-                owner: dict[State, int] = {}
-                for state in states:
-                    cached = warm_owner.get(state)
-                    owner[state] = shard_of(state, shards) if cached is None else cached
-                self._owner = owner
         self._cache: dict[Formula, frozenset[State]] = {}
         self._layer_memo: dict[tuple, list[frozenset[State]]] = {}
         self._formula_layers: dict[tuple, list[frozenset[State]]] = {}
@@ -529,15 +380,6 @@ class ModelChecker:
         else:
             domain, boundary = self.automaton.states, frozenset()
             self.stats.sat_computed += 1
-        if self.dense:
-            graph, ids, resolve = self._dense_ready()
-            candidates = [ids[s] for s in domain]
-            member = self._dense_flags(operand)
-            if universal:
-                hits = graph.pre_forall(member, candidates, require_successor=False)
-            else:
-                hits = graph.pre_exists(member, candidates)
-            return boundary | frozenset(resolve[i] for i in hits)
         if universal:
             local = frozenset(
                 s for s in domain if all(t in operand for t in self._successors[s])
@@ -562,10 +404,6 @@ class ModelChecker:
         Out-of-domain successors contribute through ``boundary`` (their
         final values).  ``through=None`` means "all states" (EF).
         """
-        if self.dense:
-            return self._dense_exists_reach(goal, through, domain, boundary)
-        if self.parallelism > 1:
-            return self._sharded_exists_reach(goal, through, domain, boundary)
         result: set[State] = set()
         queue: deque[State] = deque()
 
@@ -604,10 +442,6 @@ class ModelChecker:
         boundary: frozenset[State],
     ) -> frozenset[State]:
         """``lfp Z = goal ∪ (gate ∩ ¬δ ∩ pre∀(Z))`` over ``domain``."""
-        if self.dense:
-            return self._dense_forall_reach(goal, gate, domain, boundary)
-        if self.parallelism > 1:
-            return self._sharded_forall_reach(goal, gate, domain, boundary)
         result: set[State] = set(goal & domain)
         pending: dict[State, int] = {}
         queue: deque[State] = deque(result)
@@ -669,10 +503,6 @@ class ModelChecker:
         domain (a global complement solve beats patching here because
         no per-edge scan of the surviving region is needed at all).
         """
-        if self.dense:
-            return self._dense_forall_invariant(keep, domain, boundary)
-        if self.parallelism > 1:
-            return self._sharded_forall_invariant(keep, domain, boundary)
         removed = set(domain - keep)
         queue: deque[State] = deque(removed)
         if boundary:
@@ -705,10 +535,6 @@ class ModelChecker:
         ``domain`` are disjoint, so support counting needs only one
         membership test per edge.
         """
-        if self.dense:
-            return self._dense_exists_invariant(keep, domain, boundary)
-        if self.parallelism > 1:
-            return self._sharded_exists_invariant(keep, domain, boundary)
         alive = set(keep & domain)
         good = alive | boundary if boundary else alive
         support: dict[State, int] = {}
@@ -736,1063 +562,6 @@ class ModelChecker:
                         queue.append(pred)
         return boundary | frozenset(alive)
 
-    # ----------------------------------------------------------- dense core
-    #
-    # The dense solvers are exact mirrors of the dict/set solvers, re-
-    # expressed over interned ids: membership tests hit flat flag
-    # buffers (one byte per state), worklists are plain id lists, and
-    # edge scans walk the CSR adjacency arrays.  Conversion to and from
-    # frozensets happens only at the solve boundary — every cache, warm
-    # structure, and public API keeps the frozenset vocabulary, so dense
-    # and dict checkers warm-start from each other freely.  Admission
-    # order can differ from the dict solvers, but the fixpoints are
-    # confluent, every state is admitted/removed exactly once, and the
-    # handoff count depends only on edges and ownership — so sat sets
-    # and all work counters are bit-identical (the differential tests
-    # pin this).
-    #
-    # With parallelism=K the solve usually runs *inline*: one worklist,
-    # admissions attributed to their owner shard (id % K), cross-shard
-    # edges counted as handoffs analytically.  Because each state is
-    # expanded exactly once whatever the schedule, this accounting is
-    # provably identical to the round-based protocol's — without its
-    # coordination overhead.  The genuine round protocol still runs
-    # when a tracer wants per-shard ``checker.shard_round`` spans or an
-    # execution strategy is forced.
-
-    def _dense_ready(self):
-        """The (graph, state→id map, id→state list) triple, built lazily."""
-        graph = self._graph
-        interner = self._interner
-        assert interner is not None
-        if graph is None:
-            graph = DenseGraph.from_successors(interner, self._successors)
-            self._graph = graph
-        return graph, interner._ids, interner._states
-
-    def _dense_flags(self, states: Iterable[State]) -> bytearray:
-        """Byte-per-state membership flags over the interned id space."""
-        assert self._graph is not None
-        flags = bytearray(self._graph.size)
-        ids = self._interner._ids
-        for state in states:
-            flags[ids[state]] = 1
-        return flags
-
-    def _owner_bytes(self) -> bytearray:
-        """Shard owner of every id: contiguous ``id % K`` (no hashing)."""
-        owner = self._owner_flags
-        if owner is None:
-            shards = self.parallelism
-            owner = bytearray(i % shards for i in range(self._graph.size))
-            self._owner_flags = owner
-        return owner
-
-    def _dense_wants_rounds(self) -> bool:
-        return self.parallelism > 1 and (
-            self.strategy is not None or self.tracer.enabled
-        )
-
-    def _dense_exists_reach(
-        self,
-        goal: frozenset[State],
-        through: frozenset[State] | None,
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        graph, ids, resolve = self._dense_ready()
-        if self._dense_wants_rounds():
-            return self._dense_rounds_exists_reach(goal, through, domain, boundary)
-        own = self._owner_bytes() if self.parallelism > 1 else None
-        work = [0] * self.parallelism if own is not None else None
-        handoffs = 0
-        dom = bytearray(graph.size)
-        for state in domain:
-            dom[ids[state]] = 1
-        thr = self._dense_flags(through) if through is not None else None
-        admitted = bytearray(graph.size)
-        queue: list[int] = []
-        push = queue.append
-        for state in goal:
-            ident = ids[state]
-            if dom[ident] and not admitted[ident]:
-                admitted[ident] = 1
-                push(ident)
-                if own is not None:
-                    work[own[ident]] += 1
-        if boundary:
-            bnd = self._dense_flags(boundary)
-            fwd_off, fwd_tgt = graph.fwd_offsets, graph.fwd_targets
-            for state in domain:
-                ident = ids[state]
-                if admitted[ident]:
-                    continue
-                if thr is not None and not thr[ident]:
-                    continue
-                for edge in range(fwd_off[ident], fwd_off[ident + 1]):
-                    if bnd[fwd_tgt[edge]]:
-                        admitted[ident] = 1
-                        push(ident)
-                        if own is not None:
-                            work[own[ident]] += 1
-                        break
-        rev_off, rev_src = graph.rev_offsets, graph.rev_sources
-        head = 0
-        if own is None:
-            while head < len(queue):
-                target = queue[head]
-                head += 1
-                for edge in range(rev_off[target], rev_off[target + 1]):
-                    pred = rev_src[edge]
-                    if admitted[pred] or not dom[pred]:
-                        continue
-                    if thr is not None and not thr[pred]:
-                        continue
-                    admitted[pred] = 1
-                    push(pred)
-            self.stats.fixpoint_work += len(queue)
-        else:
-            while head < len(queue):
-                target = queue[head]
-                head += 1
-                home = own[target]
-                for edge in range(rev_off[target], rev_off[target + 1]):
-                    pred = rev_src[edge]
-                    if not dom[pred]:
-                        continue
-                    if thr is not None and not thr[pred]:
-                        continue
-                    if own[pred] != home:
-                        handoffs += 1
-                    if not admitted[pred]:
-                        admitted[pred] = 1
-                        push(pred)
-                        work[own[pred]] += 1
-            self._account_sharded(work, handoffs)
-        return boundary | frozenset(resolve[i] for i in queue)
-
-    def _dense_forall_reach(
-        self,
-        goal: frozenset[State],
-        gate: frozenset[State] | None,
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        graph, ids, resolve = self._dense_ready()
-        if self._dense_wants_rounds():
-            return self._dense_rounds_forall_reach(goal, gate, domain, boundary)
-        own = self._owner_bytes() if self.parallelism > 1 else None
-        work = [0] * self.parallelism if own is not None else None
-        handoffs = 0
-        dom = bytearray(graph.size)
-        for state in domain:
-            dom[ids[state]] = 1
-        gatef = self._dense_flags(gate) if gate is not None else None
-        bnd = self._dense_flags(boundary) if boundary else None
-        admitted = bytearray(graph.size)
-        pending = [0] * graph.size
-        queue: list[int] = []
-        push = queue.append
-        for state in goal:
-            ident = ids[state]
-            if dom[ident] and not admitted[ident]:
-                admitted[ident] = 1
-                push(ident)
-                if own is not None:
-                    work[own[ident]] += 1
-        fwd_off, fwd_tgt = graph.fwd_offsets, graph.fwd_targets
-        for state in domain:
-            ident = ids[state]
-            if admitted[ident]:
-                continue
-            if gatef is not None and not gatef[ident]:
-                continue
-            lo, hi = fwd_off[ident], fwd_off[ident + 1]
-            if lo == hi:
-                continue  # deadlock: AF-style obligations fail here
-            count = 0
-            for edge in range(lo, hi):
-                target = fwd_tgt[edge]
-                if dom[target]:
-                    count += 1  # decremented as in-domain targets are admitted
-                elif bnd is None or not bnd[target]:
-                    count = -1  # an out-of-domain successor that never satisfies
-                    break
-            if count < 0:
-                continue
-            if count == 0:
-                admitted[ident] = 1
-                push(ident)
-                if own is not None:
-                    work[own[ident]] += 1
-            else:
-                pending[ident] = count
-        rev_off, rev_src = graph.rev_offsets, graph.rev_sources
-        head = 0
-        while head < len(queue):
-            target = queue[head]
-            head += 1
-            home = own[target] if own is not None else 0
-            for edge in range(rev_off[target], rev_off[target + 1]):
-                pred = rev_src[edge]
-                if own is not None:
-                    if not dom[pred]:
-                        continue
-                    if own[pred] != home:
-                        handoffs += 1
-                count = pending[pred]
-                if count == 0:
-                    continue
-                count -= 1
-                pending[pred] = count
-                if count == 0:
-                    admitted[pred] = 1
-                    push(pred)
-                    if own is not None:
-                        work[own[pred]] += 1
-        if own is None:
-            self.stats.fixpoint_work += len(queue)
-        else:
-            self._account_sharded(work, handoffs)
-        return boundary | frozenset(resolve[i] for i in queue)
-
-    def _dense_forall_invariant(
-        self,
-        keep: frozenset[State],
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        graph, ids, resolve = self._dense_ready()
-        if self._dense_wants_rounds():
-            return self._dense_rounds_forall_invariant(keep, domain, boundary)
-        own = self._owner_bytes() if self.parallelism > 1 else None
-        work = [0] * self.parallelism if own is not None else None
-        handoffs = 0
-        dom = bytearray(graph.size)
-        for state in domain:
-            dom[ids[state]] = 1
-        keepf = self._dense_flags(keep)
-        removed = bytearray(graph.size)
-        queue: list[int] = []
-        push = queue.append
-        for state in domain:
-            ident = ids[state]
-            if not keepf[ident]:
-                removed[ident] = 1
-                push(ident)
-                if own is not None:
-                    work[own[ident]] += 1
-        if boundary:
-            good = bytearray(dom)
-            for state in boundary:
-                good[ids[state]] = 1
-            fwd_off, fwd_tgt = graph.fwd_offsets, graph.fwd_targets
-            for state in domain:
-                ident = ids[state]
-                if removed[ident] or not keepf[ident]:
-                    continue
-                for edge in range(fwd_off[ident], fwd_off[ident + 1]):
-                    if not good[fwd_tgt[edge]]:
-                        removed[ident] = 1
-                        push(ident)
-                        if own is not None:
-                            work[own[ident]] += 1
-                        break
-        rev_off, rev_src = graph.rev_offsets, graph.rev_sources
-        head = 0
-        while head < len(queue):
-            target = queue[head]
-            head += 1
-            home = own[target] if own is not None else 0
-            for edge in range(rev_off[target], rev_off[target + 1]):
-                pred = rev_src[edge]
-                if not dom[pred]:
-                    continue
-                if own is not None and own[pred] != home:
-                    handoffs += 1
-                if not removed[pred]:
-                    removed[pred] = 1
-                    push(pred)
-                    if own is not None:
-                        work[own[pred]] += 1
-        if own is None:
-            self.stats.fixpoint_work += len(queue)
-        else:
-            self._account_sharded(work, handoffs)
-        return boundary | ((keep & domain) - frozenset(resolve[i] for i in queue))
-
-    def _dense_exists_invariant(
-        self,
-        keep: frozenset[State],
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        graph, ids, resolve = self._dense_ready()
-        if self._dense_wants_rounds():
-            return self._dense_rounds_exists_invariant(keep, domain, boundary)
-        own = self._owner_bytes() if self.parallelism > 1 else None
-        work = [0] * self.parallelism if own is not None else None
-        handoffs = 0
-        dom = bytearray(graph.size)
-        for state in domain:
-            dom[ids[state]] = 1
-        alive = bytearray(graph.size)
-        alive_ids: list[int] = []
-        for state in keep:
-            ident = ids[state]
-            if dom[ident] and not alive[ident]:
-                alive[ident] = 1
-                alive_ids.append(ident)
-        # Support counting tests membership in the *initial* keep∩domain
-        # (plus boundary), exactly like the dict solver's static `good`.
-        static = bytes(alive)
-        good = bytearray(alive)
-        for state in boundary:
-            good[ids[state]] = 1
-        support = [0] * graph.size
-        queue: list[int] = []
-        push = queue.append
-        fwd_off, fwd_tgt = graph.fwd_offsets, graph.fwd_targets
-        for ident in alive_ids:
-            lo, hi = fwd_off[ident], fwd_off[ident + 1]
-            if lo == hi:
-                continue  # deadlock: stays by the δ disjunct
-            count = 0
-            for edge in range(lo, hi):
-                if good[fwd_tgt[edge]]:
-                    count += 1
-            if count == 0:
-                push(ident)
-            else:
-                support[ident] = count
-        rev_off, rev_src = graph.rev_offsets, graph.rev_sources
-        head = 0
-        discards = 0
-        while head < len(queue):
-            target = queue[head]
-            head += 1
-            if not alive[target]:
-                continue
-            alive[target] = 0
-            discards += 1
-            if own is not None:
-                work[own[target]] += 1
-            home = own[target] if own is not None else 0
-            for edge in range(rev_off[target], rev_off[target + 1]):
-                pred = rev_src[edge]
-                if own is not None:
-                    if not static[pred]:
-                        continue
-                    if own[pred] != home:
-                        handoffs += 1
-                if alive[pred] and support[pred] > 0:
-                    support[pred] -= 1
-                    if support[pred] == 0:
-                        push(pred)
-        if own is None:
-            self.stats.fixpoint_work += discards
-        else:
-            self._account_sharded(work, handoffs)
-        return boundary | frozenset(resolve[i] for i in alive_ids if alive[i])
-
-    # The round-protocol twins of the dense solvers: identical seeds and
-    # admission conditions, but per-shard worklists driven through
-    # `_fixpoint_rounds` so forced strategies and per-shard tracer spans
-    # behave exactly like the dict solvers.  Shared flat arrays replace
-    # per-shard sets — safe because every entry is written only by its
-    # owner shard (and read by others only via handoffs).
-
-    def _dense_rounds_exists_reach(
-        self,
-        goal: frozenset[State],
-        through: frozenset[State] | None,
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        graph, ids, resolve = self._dense_ready()
-        shards = self.parallelism
-        own = self._owner_bytes()
-        dom = bytearray(graph.size)
-        dom_ids: list[int] = []
-        for state in domain:
-            ident = ids[state]
-            dom[ident] = 1
-            dom_ids.append(ident)
-        thr = self._dense_flags(through) if through is not None else None
-        admitted = bytearray(graph.size)
-        queues: list[deque[int]] = [deque() for _ in range(shards)]
-        inboxes: list[list[int]] = [[] for _ in range(shards)]
-        work = [0] * shards
-        for state in goal:
-            ident = ids[state]
-            if dom[ident] and not admitted[ident]:
-                admitted[ident] = 1
-                home = own[ident]
-                queues[home].append(ident)
-                work[home] += 1
-        if boundary:
-            bnd = self._dense_flags(boundary)
-            fwd_off, fwd_tgt = graph.fwd_offsets, graph.fwd_targets
-            for ident in dom_ids:
-                if admitted[ident]:
-                    continue
-                if thr is not None and not thr[ident]:
-                    continue
-                for edge in range(fwd_off[ident], fwd_off[ident + 1]):
-                    if bnd[fwd_tgt[edge]]:
-                        admitted[ident] = 1
-                        home = own[ident]
-                        queues[home].append(ident)
-                        work[home] += 1
-                        break
-        rev_off, rev_src = graph.rev_offsets, graph.rev_sources
-
-        def step(shard: int) -> list[tuple[int, int]]:
-            queue = queues[shard]
-            inbox, inboxes[shard] = inboxes[shard], []
-            outbox: list[tuple[int, int]] = []
-            for ident in inbox:
-                if not admitted[ident]:
-                    admitted[ident] = 1
-                    queue.append(ident)
-                    work[shard] += 1
-            while queue:
-                target = queue.popleft()
-                for edge in range(rev_off[target], rev_off[target + 1]):
-                    pred = rev_src[edge]
-                    if not dom[pred]:
-                        continue
-                    if thr is not None and not thr[pred]:
-                        continue
-                    home = own[pred]
-                    if home != shard:
-                        outbox.append((home, pred))
-                    elif not admitted[pred]:
-                        admitted[pred] = 1
-                        queue.append(pred)
-                        work[shard] += 1
-            return outbox
-
-        handoffs = self._fixpoint_rounds(
-            self._shard_strategy(len(domain)), inboxes, queues, step, label="exists_reach"
-        )
-        self._account_sharded(work, handoffs)
-        return boundary | frozenset(resolve[i] for i in dom_ids if admitted[i])
-
-    def _dense_rounds_forall_reach(
-        self,
-        goal: frozenset[State],
-        gate: frozenset[State] | None,
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        graph, ids, resolve = self._dense_ready()
-        shards = self.parallelism
-        own = self._owner_bytes()
-        dom = bytearray(graph.size)
-        dom_ids: list[int] = []
-        for state in domain:
-            ident = ids[state]
-            dom[ident] = 1
-            dom_ids.append(ident)
-        goalf = self._dense_flags(goal)
-        gatef = self._dense_flags(gate) if gate is not None else None
-        bnd = self._dense_flags(boundary) if boundary else None
-        admitted = bytearray(graph.size)
-        pending = [0] * graph.size
-        queues: list[deque[int]] = [deque() for _ in range(shards)]
-        inboxes: list[list[int]] = [[] for _ in range(shards)]
-        work = [0] * shards
-        fwd_off, fwd_tgt = graph.fwd_offsets, graph.fwd_targets
-        for ident in dom_ids:
-            if goalf[ident]:
-                admitted[ident] = 1
-                home = own[ident]
-                queues[home].append(ident)
-                work[home] += 1
-                continue
-            if gatef is not None and not gatef[ident]:
-                continue
-            lo, hi = fwd_off[ident], fwd_off[ident + 1]
-            if lo == hi:
-                continue  # deadlock: AF-style obligations fail here
-            count = 0
-            for edge in range(lo, hi):
-                target = fwd_tgt[edge]
-                if dom[target]:
-                    count += 1
-                elif bnd is None or not bnd[target]:
-                    count = -1
-                    break
-            if count < 0:
-                continue
-            if count == 0:
-                admitted[ident] = 1
-                home = own[ident]
-                queues[home].append(ident)
-                work[home] += 1
-            else:
-                pending[ident] = count
-        rev_off, rev_src = graph.rev_offsets, graph.rev_sources
-
-        def step(shard: int) -> list[tuple[int, int]]:
-            queue = queues[shard]
-            inbox, inboxes[shard] = inboxes[shard], []
-            outbox: list[tuple[int, int]] = []
-
-            def weaken(ident: int) -> None:
-                # One decrement per admitted in-domain successor, so
-                # inbox entries are deliberately *not* deduplicated.
-                count = pending[ident]
-                if count == 0:
-                    return
-                count -= 1
-                pending[ident] = count
-                if count == 0:
-                    admitted[ident] = 1
-                    queue.append(ident)
-                    work[shard] += 1
-
-            for ident in inbox:
-                weaken(ident)
-            while queue:
-                target = queue.popleft()
-                for edge in range(rev_off[target], rev_off[target + 1]):
-                    pred = rev_src[edge]
-                    if not dom[pred]:
-                        continue
-                    home = own[pred]
-                    if home == shard:
-                        weaken(pred)
-                    else:
-                        outbox.append((home, pred))
-            return outbox
-
-        handoffs = self._fixpoint_rounds(
-            self._shard_strategy(len(domain)), inboxes, queues, step, label="forall_reach"
-        )
-        self._account_sharded(work, handoffs)
-        return boundary | frozenset(resolve[i] for i in dom_ids if admitted[i])
-
-    def _dense_rounds_forall_invariant(
-        self,
-        keep: frozenset[State],
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        graph, ids, resolve = self._dense_ready()
-        shards = self.parallelism
-        own = self._owner_bytes()
-        dom = bytearray(graph.size)
-        dom_ids: list[int] = []
-        for state in domain:
-            ident = ids[state]
-            dom[ident] = 1
-            dom_ids.append(ident)
-        keepf = self._dense_flags(keep)
-        good = None
-        if boundary:
-            good = bytearray(dom)
-            for state in boundary:
-                good[ids[state]] = 1
-        removed = bytearray(graph.size)
-        queues: list[deque[int]] = [deque() for _ in range(shards)]
-        inboxes: list[list[int]] = [[] for _ in range(shards)]
-        work = [0] * shards
-        fwd_off, fwd_tgt = graph.fwd_offsets, graph.fwd_targets
-        for ident in dom_ids:
-            if keepf[ident]:
-                if good is None:
-                    continue
-                for edge in range(fwd_off[ident], fwd_off[ident + 1]):
-                    if not good[fwd_tgt[edge]]:
-                        break
-                else:
-                    continue
-            removed[ident] = 1
-            home = own[ident]
-            queues[home].append(ident)
-            work[home] += 1
-        rev_off, rev_src = graph.rev_offsets, graph.rev_sources
-
-        def step(shard: int) -> list[tuple[int, int]]:
-            queue = queues[shard]
-            inbox, inboxes[shard] = inboxes[shard], []
-            outbox: list[tuple[int, int]] = []
-            for ident in inbox:
-                if not removed[ident]:
-                    removed[ident] = 1
-                    queue.append(ident)
-                    work[shard] += 1
-            while queue:
-                target = queue.popleft()
-                for edge in range(rev_off[target], rev_off[target + 1]):
-                    pred = rev_src[edge]
-                    if not dom[pred]:
-                        continue
-                    home = own[pred]
-                    if home != shard:
-                        outbox.append((home, pred))
-                    elif not removed[pred]:
-                        removed[pred] = 1
-                        queue.append(pred)
-                        work[shard] += 1
-            return outbox
-
-        handoffs = self._fixpoint_rounds(
-            self._shard_strategy(len(domain)), inboxes, queues, step, label="forall_invariant"
-        )
-        self._account_sharded(work, handoffs)
-        return boundary | (
-            (keep & domain) - frozenset(resolve[i] for i in dom_ids if removed[i])
-        )
-
-    def _dense_rounds_exists_invariant(
-        self,
-        keep: frozenset[State],
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        graph, ids, resolve = self._dense_ready()
-        shards = self.parallelism
-        own = self._owner_bytes()
-        dom = bytearray(graph.size)
-        for state in domain:
-            dom[ids[state]] = 1
-        alive = bytearray(graph.size)
-        alive_ids: list[int] = []
-        for state in keep:
-            ident = ids[state]
-            if dom[ident] and not alive[ident]:
-                alive[ident] = 1
-                alive_ids.append(ident)
-        static = bytes(alive)
-        good = bytearray(alive)
-        for state in boundary:
-            good[ids[state]] = 1
-        support = [0] * graph.size
-        queues: list[deque[int]] = [deque() for _ in range(shards)]
-        inboxes: list[list[int]] = [[] for _ in range(shards)]
-        work = [0] * shards
-        fwd_off, fwd_tgt = graph.fwd_offsets, graph.fwd_targets
-        for ident in alive_ids:
-            lo, hi = fwd_off[ident], fwd_off[ident + 1]
-            if lo == hi:
-                continue  # deadlock: stays by the δ disjunct
-            count = 0
-            for edge in range(lo, hi):
-                if good[fwd_tgt[edge]]:
-                    count += 1
-            if count == 0:
-                queues[own[ident]].append(ident)
-            else:
-                support[ident] = count
-        rev_off, rev_src = graph.rev_offsets, graph.rev_sources
-
-        def step(shard: int) -> list[tuple[int, int]]:
-            queue = queues[shard]
-            inbox, inboxes[shard] = inboxes[shard], []
-            outbox: list[tuple[int, int]] = []
-
-            def weaken(ident: int) -> None:
-                count = support[ident]
-                if count == 0:
-                    return
-                count -= 1
-                support[ident] = count
-                if count == 0:
-                    queue.append(ident)
-
-            for ident in inbox:
-                weaken(ident)
-            while queue:
-                target = queue.popleft()
-                if not alive[target]:
-                    continue
-                alive[target] = 0
-                work[shard] += 1
-                for edge in range(rev_off[target], rev_off[target + 1]):
-                    pred = rev_src[edge]
-                    if not static[pred]:
-                        continue
-                    home = own[pred]
-                    if home == shard:
-                        weaken(pred)
-                    else:
-                        outbox.append((home, pred))
-            return outbox
-
-        handoffs = self._fixpoint_rounds(
-            self._shard_strategy(len(domain)), inboxes, queues, step, label="exists_invariant"
-        )
-        self._account_sharded(work, handoffs)
-        return boundary | frozenset(resolve[i] for i in alive_ids if alive[i])
-
-    # ------------------------------------------------------ sharded fixpoints
-    #
-    # Each sharded solver mirrors its sequential twin exactly: the same
-    # seeds, the same admission/removal conditions, the same per-event
-    # work accounting — only the worklist is split by crc32-of-repr
-    # ownership.  Workers touch nothing but their own shard's sets and
-    # queues; cross-shard discoveries travel as (shard, state) handoffs
-    # routed between rounds by `_fixpoint_rounds`.  Because the fixpoint
-    # is confluent and every state is admitted/removed exactly once by
-    # its owner, the merged result and the total work counter match the
-    # sequential solver bit-for-bit; handoff counts depend only on the
-    # edge structure and ownership, never on scheduling.
-
-    def _shard_strategy(self, workload: int) -> str:
-        strategy = self.strategy
-        if strategy is None:
-            strategy = select_strategy(workload, self.parallelism)
-        if strategy == "process":
-            # Worklists close over the shared predecessor map; pickling
-            # it per shard would dwarf any solve, so threads stand in.
-            strategy = "thread"
-        return strategy
-
-    def _fixpoint_rounds(
-        self,
-        strategy: str,
-        inboxes: list[list[State]],
-        queues: "list[deque[State]]",
-        step,
-        *,
-        label: str = "",
-    ) -> int:
-        """Alternate parallel shard steps with deterministic handoff routing.
-
-        ``step(shard)`` drains the shard's inbox and local worklist —
-        mutating only that shard's structures — and returns its outbox
-        of ``(shard, state)`` handoffs.  Outboxes are routed in shard
-        order between rounds (``WorkerPool.map`` preserves task order);
-        rounds continue until no shard holds work, i.e. until the
-        global fixpoint.  Returns the number of handoffs emitted.
-
-        With an enabled tracer, each shard's step of each round becomes
-        one ``checker.shard_round`` span on the shard's own track — the
-        worker times itself, so the span is faithful under any strategy
-        that shares the tracer's address space (sequential/thread; the
-        checker never runs ``process``, see :meth:`_shard_strategy`).
-        """
-        shards = len(inboxes)
-        pool = self._pool
-        tracer = self.tracer
-        handoffs = 0
-        round_index = 0
-        worker = step
-        if tracer.enabled:
-            round_box = [0]
-
-            def worker(shard: int):
-                begin = time.perf_counter()
-                outbox = step(shard)
-                tracer.record(
-                    "checker.shard_round",
-                    track=f"checker/shard-{shard}",
-                    start=begin,
-                    duration=time.perf_counter() - begin,
-                    solve=label,
-                    round=round_box[0],
-                )
-                return outbox
-
-        while True:
-            active = [k for k in range(shards) if inboxes[k] or queues[k]]
-            if not active:
-                return handoffs
-            if tracer.enabled:
-                round_box[0] = round_index
-            for outbox in pool.map(strategy, worker, active, workers=shards):
-                handoffs += len(outbox)
-                for target_shard, state in outbox:
-                    inboxes[target_shard].append(state)
-            round_index += 1
-
-    def _account_sharded(self, work: list[int], handoffs: int) -> None:
-        stats = self.stats
-        stats.fixpoint_work += sum(work)
-        for shard, amount in enumerate(work):
-            stats._sharded_work[shard] += amount
-        stats.shard_handoffs += handoffs
-
-    def _sharded_exists_reach(
-        self,
-        goal: frozenset[State],
-        through: frozenset[State] | None,
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        shards = self.parallelism
-        owner = self._owner
-        assert owner is not None
-        predecessors = self._predecessors
-        successors = self._successors
-        results: list[set[State]] = [set() for _ in range(shards)]
-        queues: list[deque[State]] = [deque() for _ in range(shards)]
-        inboxes: list[list[State]] = [[] for _ in range(shards)]
-        work = [0] * shards
-
-        for state in goal & domain:
-            shard = owner[state]
-            results[shard].add(state)
-            queues[shard].append(state)
-            work[shard] += 1
-        if boundary:
-            for state in domain:
-                shard = owner[state]
-                if state in results[shard]:
-                    continue
-                if through is not None and state not in through:
-                    continue
-                if any(t in boundary for t in successors[state]):
-                    results[shard].add(state)
-                    queues[shard].append(state)
-                    work[shard] += 1
-
-        def step(shard: int) -> list[tuple[int, State]]:
-            result, queue = results[shard], queues[shard]
-            inbox, inboxes[shard] = inboxes[shard], []
-            outbox: list[tuple[int, State]] = []
-            for state in inbox:
-                if state not in result:
-                    result.add(state)
-                    queue.append(state)
-                    work[shard] += 1
-            while queue:
-                target = queue.popleft()
-                for state in predecessors.get(target, ()):
-                    if state not in domain:
-                        continue
-                    if through is not None and state not in through:
-                        continue
-                    home = owner[state]
-                    if home != shard:
-                        outbox.append((home, state))
-                    elif state not in result:
-                        result.add(state)
-                        queue.append(state)
-                        work[shard] += 1
-            return outbox
-
-        handoffs = self._fixpoint_rounds(
-            self._shard_strategy(len(domain)), inboxes, queues, step, label="exists_reach"
-        )
-        self._account_sharded(work, handoffs)
-        return boundary | frozenset().union(*results)
-
-    def _sharded_forall_reach(
-        self,
-        goal: frozenset[State],
-        gate: frozenset[State] | None,
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        shards = self.parallelism
-        owner = self._owner
-        assert owner is not None
-        predecessors = self._predecessors
-        successors = self._successors
-        results: list[set[State]] = [set() for _ in range(shards)]
-        pendings: list[dict[State, int]] = [{} for _ in range(shards)]
-        queues: list[deque[State]] = [deque() for _ in range(shards)]
-        inboxes: list[list[State]] = [[] for _ in range(shards)]
-        work = [0] * shards
-
-        for state in domain:
-            shard = owner[state]
-            if state in goal:
-                results[shard].add(state)
-                queues[shard].append(state)
-                work[shard] += 1
-                continue
-            if gate is not None and state not in gate:
-                continue
-            outgoing = successors[state]
-            if not outgoing:
-                continue  # deadlock: AF-style obligations fail here
-            count = 0
-            for target in outgoing:
-                if target in domain:
-                    count += 1  # decremented as in-domain targets are admitted
-                elif target not in boundary:
-                    count = -1  # an out-of-domain successor that never satisfies
-                    break
-            if count < 0:
-                continue
-            if count == 0:
-                results[shard].add(state)
-                queues[shard].append(state)
-                work[shard] += 1
-            else:
-                pendings[shard][state] = count
-
-        def step(shard: int) -> list[tuple[int, State]]:
-            result, queue, pending = results[shard], queues[shard], pendings[shard]
-            inbox, inboxes[shard] = inboxes[shard], []
-            outbox: list[tuple[int, State]] = []
-
-            def weaken(state: State) -> None:
-                # One decrement per admitted in-domain successor, so
-                # inbox entries are deliberately *not* deduplicated.
-                count = pending.get(state)
-                if count is None:
-                    return
-                count -= 1
-                if count == 0:
-                    del pending[state]
-                    result.add(state)
-                    queue.append(state)
-                    work[shard] += 1
-                else:
-                    pending[state] = count
-
-            for state in inbox:
-                weaken(state)
-            while queue:
-                target = queue.popleft()
-                for state in predecessors.get(target, ()):
-                    if state not in domain:
-                        continue
-                    home = owner[state]
-                    if home == shard:
-                        weaken(state)
-                    else:
-                        outbox.append((home, state))
-            return outbox
-
-        handoffs = self._fixpoint_rounds(
-            self._shard_strategy(len(domain)), inboxes, queues, step, label="forall_reach"
-        )
-        self._account_sharded(work, handoffs)
-        return boundary | frozenset().union(*results)
-
-    def _sharded_forall_invariant(
-        self,
-        keep: frozenset[State],
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        shards = self.parallelism
-        owner = self._owner
-        assert owner is not None
-        predecessors = self._predecessors
-        successors = self._successors
-        removeds: list[set[State]] = [set() for _ in range(shards)]
-        queues: list[deque[State]] = [deque() for _ in range(shards)]
-        inboxes: list[list[State]] = [[] for _ in range(shards)]
-        work = [0] * shards
-
-        good = domain | boundary if boundary else None
-        for state in domain:
-            if state in keep and (
-                good is None or all(t in good for t in successors[state])
-            ):
-                continue
-            shard = owner[state]
-            removeds[shard].add(state)
-            queues[shard].append(state)
-            work[shard] += 1
-
-        def step(shard: int) -> list[tuple[int, State]]:
-            removed, queue = removeds[shard], queues[shard]
-            inbox, inboxes[shard] = inboxes[shard], []
-            outbox: list[tuple[int, State]] = []
-            for state in inbox:
-                if state not in removed:
-                    removed.add(state)
-                    queue.append(state)
-                    work[shard] += 1
-            while queue:
-                state = queue.popleft()
-                for pred in predecessors.get(state, ()):
-                    if pred not in domain:
-                        continue
-                    home = owner[pred]
-                    if home != shard:
-                        outbox.append((home, pred))
-                    elif pred not in removed:
-                        removed.add(pred)
-                        queue.append(pred)
-                        work[shard] += 1
-            return outbox
-
-        handoffs = self._fixpoint_rounds(
-            self._shard_strategy(len(domain)), inboxes, queues, step, label="forall_invariant"
-        )
-        self._account_sharded(work, handoffs)
-        return boundary | ((keep & domain) - frozenset().union(*removeds))
-
-    def _sharded_exists_invariant(
-        self,
-        keep: frozenset[State],
-        domain: frozenset[State],
-        boundary: frozenset[State],
-    ) -> frozenset[State]:
-        shards = self.parallelism
-        owner = self._owner
-        assert owner is not None
-        predecessors = self._predecessors
-        successors = self._successors
-        alive_all = keep & domain
-        good = alive_all | boundary if boundary else alive_all
-        alives: list[set[State]] = [set() for _ in range(shards)]
-        supports: list[dict[State, int]] = [{} for _ in range(shards)]
-        queues: list[deque[State]] = [deque() for _ in range(shards)]
-        inboxes: list[list[State]] = [[] for _ in range(shards)]
-        work = [0] * shards
-
-        for state in alive_all:
-            shard = owner[state]
-            alives[shard].add(state)
-            outgoing = successors[state]
-            if not outgoing:
-                continue  # deadlock: stays by the δ disjunct
-            count = sum(1 for target in outgoing if target in good)
-            if count == 0:
-                queues[shard].append(state)
-            else:
-                supports[shard][state] = count
-
-        def step(shard: int) -> list[tuple[int, State]]:
-            alive, support, queue = alives[shard], supports[shard], queues[shard]
-            inbox, inboxes[shard] = inboxes[shard], []
-            outbox: list[tuple[int, State]] = []
-
-            def weaken(state: State) -> None:
-                count = support.get(state)
-                if count is None:
-                    return
-                count -= 1
-                if count == 0:
-                    del support[state]
-                    queue.append(state)
-                else:
-                    support[state] = count
-
-            for state in inbox:
-                weaken(state)
-            while queue:
-                state = queue.popleft()
-                if state not in alive:
-                    continue
-                alive.discard(state)
-                work[shard] += 1
-                for pred in predecessors.get(state, ()):
-                    if pred not in alive_all:
-                        continue
-                    home = owner[pred]
-                    if home == shard:
-                        weaken(pred)
-                    else:
-                        outbox.append((home, pred))
-            return outbox
-
-        handoffs = self._fixpoint_rounds(
-            self._shard_strategy(len(domain)), inboxes, queues, step, label="exists_invariant"
-        )
-        self._account_sharded(work, handoffs)
-        return boundary | frozenset().union(*alives)
 
     def _fixpoint_region(self, formula: Formula) -> tuple[frozenset[State], frozenset[State]]:
         patch = self._patchable(formula)
@@ -1908,8 +677,6 @@ class ModelChecker:
         domain: frozenset[State],
         warm_layers: "list[frozenset[State]] | None",
     ) -> list[frozenset[State]]:
-        if self.dense:
-            return self._dense_layers(operator, operand, interval, domain, warm_layers)
         low, high = interval.low, interval.high
         unaffected = self._warm.unaffected if warm_layers is not None and self._warm else frozenset()
 
@@ -1956,79 +723,6 @@ class ModelChecker:
             layers[k] = layer
         return layers
 
-    def _dense_layers(
-        self,
-        operator: str,
-        operand: frozenset[State],
-        interval: Interval,
-        domain: frozenset[State],
-        warm_layers: "list[frozenset[State]] | None",
-    ) -> list[frozenset[State]]:
-        """The bounded unary DP as per-layer predecessor images.
-
-        Each layer is one ``pre∀``/``pre∃`` image of the layer above it
-        over the candidate ids — the per-state branch structure of the
-        dict DP collapses into a kernel call plus set algebra on id
-        lists, with the same per-layer work charge (``|domain|``).
-
-        Cold solves keep the whole DP in id space: the next layer's
-        flag buffer is written straight from the satisfied ids, so the
-        per-layer cost is one kernel call plus the (contract-mandated)
-        frozenset materialisation.  Warm solves patch each layer with
-        the unaffected slice of the previous run first and therefore
-        re-derive the flags from the patched frozenset.
-        """
-        low, high = interval.low, interval.high
-        unaffected = (
-            self._warm.unaffected if warm_layers is not None and self._warm else frozenset()
-        )
-        graph, ids, resolve = self._dense_ready()
-        size = graph.size
-        # ``array('I')`` candidate vectors: the numpy kernels convert
-        # them via the buffer protocol instead of walking a list.
-        dom_ids = array("I", sorted(ids[s] for s in domain))
-        operand_flags = self._dense_flags(operand)
-        holds_here = array("I", (i for i in dom_ids if operand_flags[i]))
-        lacks_here = array("I", (i for i in dom_ids if not operand_flags[i]))
-        work_per_layer = len(dom_ids)
-        layers: list[frozenset[State]] = [frozenset()] * (high + 1)
-        next_flags: bytearray | None = None
-        for k in range(high, -1, -1):
-            last = k == high
-            active = max(low - k, 0) == 0  # is position k inside the window?
-            if operator in ("AF", "EF"):
-                base = holds_here if active else ()
-                cand = lacks_here if active else dom_ids
-                if last:
-                    satisfied = list(base)
-                elif operator == "AF":
-                    satisfied = list(base) + graph.pre_forall(
-                        next_flags, cand, require_successor=True
-                    )
-                else:
-                    satisfied = list(base) + graph.pre_exists(next_flags, cand)
-            else:  # AG / EG
-                gate = holds_here if active else dom_ids
-                if last:
-                    satisfied = gate
-                elif operator == "AG":
-                    satisfied = graph.pre_forall(next_flags, gate, require_successor=False)
-                elif operator == "EG":
-                    satisfied = graph.pre_exists(next_flags, gate, empty_satisfies=True)
-                else:
-                    raise AssertionError(operator)
-            self.stats.fixpoint_work += work_per_layer
-            layer = frozenset(map(resolve.__getitem__, satisfied))
-            if warm_layers is not None:
-                layer |= warm_layers[k] & unaffected
-            layers[k] = layer
-            if k:
-                if warm_layers is not None:
-                    next_flags = self._dense_flags(layer)
-                else:
-                    next_flags = flags_of_ids(satisfied, size)
-        return layers
-
     def _bounded_until(
         self,
         formula: Formula,
@@ -2057,84 +751,30 @@ class ModelChecker:
         with self.tracer.span(
             "checker.bounded", solve=solve, domain=len(domain), window=high - low
         ):
-            if self.dense:
-                layers = self._dense_until_layers(
-                    left, right, interval, domain, unaffected, warm_layers,
-                    universal=universal,
-                )
-            else:
-                for k in range(high, -1, -1):
-                    satisfied: set[State] = set()
-                    last = k == high
-                    for state in domain:
-                        window_open = max(low - k, 0) == 0
-                        if window_open and state in right:
+            for k in range(high, -1, -1):
+                satisfied: set[State] = set()
+                last = k == high
+                for state in domain:
+                    window_open = max(low - k, 0) == 0
+                    if window_open and state in right:
+                        satisfied.add(state)
+                        continue
+                    if last or state not in left:
+                        continue
+                    successors = self._successors[state]
+                    if universal:
+                        if successors and all(t in layers[k + 1] for t in successors):
                             satisfied.add(state)
-                            continue
-                        if last or state not in left:
-                            continue
-                        successors = self._successors[state]
-                        if universal:
-                            if successors and all(t in layers[k + 1] for t in successors):
-                                satisfied.add(state)
-                        else:
-                            if any(t in layers[k + 1] for t in successors):
-                                satisfied.add(state)
-                        self.stats.fixpoint_work += 1
-                    layer = frozenset(satisfied)
-                    if warm_layers is not None:
-                        layer |= warm_layers[k] & unaffected
-                    layers[k] = layer
+                    else:
+                        if any(t in layers[k + 1] for t in successors):
+                            satisfied.add(state)
+                    self.stats.fixpoint_work += 1
+                layer = frozenset(satisfied)
+                if warm_layers is not None:
+                    layer |= warm_layers[k] & unaffected
+                layers[k] = layer
         self._formula_layers[key] = layers
         return layers[0]
-
-    def _dense_until_layers(
-        self,
-        left: frozenset[State],
-        right: frozenset[State],
-        interval: Interval,
-        domain: frozenset[State],
-        unaffected: frozenset[State],
-        warm_layers: "list[frozenset[State]] | None",
-        *,
-        universal: bool,
-    ) -> list[frozenset[State]]:
-        """The bounded-until DP over interned ids (see :meth:`_dense_layers`)."""
-        low, high = interval.low, interval.high
-        graph, ids, resolve = self._dense_ready()
-        size = graph.size
-        dom_ids = array("I", sorted(ids[s] for s in domain))
-        left_flags = self._dense_flags(left)
-        right_flags = self._dense_flags(right)
-        right_here = [i for i in dom_ids if right_flags[i]]
-        cand_open = array("I", (i for i in dom_ids if left_flags[i] and not right_flags[i]))
-        cand_closed = array("I", (i for i in dom_ids if left_flags[i]))
-        layers: list[frozenset[State]] = [frozenset()] * (high + 1)
-        next_flags: bytearray | None = None
-        for k in range(high, -1, -1):
-            last = k == high
-            window_open = max(low - k, 0) == 0
-            base = right_here if window_open else ()
-            cand = cand_open if window_open else cand_closed
-            if last:
-                satisfied = list(base)
-            else:
-                if universal:
-                    hits = graph.pre_forall(next_flags, cand, require_successor=True)
-                else:
-                    hits = graph.pre_exists(next_flags, cand)
-                satisfied = list(base) + hits
-                self.stats.fixpoint_work += len(cand)
-            layer = frozenset(map(resolve.__getitem__, satisfied))
-            if warm_layers is not None:
-                layer |= warm_layers[k] & unaffected
-            layers[k] = layer
-            if k:
-                if warm_layers is not None:
-                    next_flags = self._dense_flags(layer)
-                else:
-                    next_flags = flags_of_ids(satisfied, size)
-        return layers
 
 
 def check(automaton: Automaton, formula: Formula) -> CheckResult:

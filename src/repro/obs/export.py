@@ -8,8 +8,7 @@ Three audiences, three formats:
 * :func:`write_chrome_trace` — the Chrome trace-event format (a
   ``{"traceEvents": [...]}`` document of ``ph: "X"`` complete events),
   loadable in Perfetto / ``chrome://tracing``.  Every tracer track
-  becomes one named thread row, so checker and product shards render as
-  parallel swimlanes under the coordinator's ``main`` track.
+  becomes one named thread row under the coordinator's ``main`` track.
 * :func:`render_trace_summary` — a plain-text per-iteration table of
   where each loop iteration spent its time, for terminals and CI logs.
 

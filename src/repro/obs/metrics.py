@@ -254,26 +254,24 @@ NULL_METRICS = NullMetricsRegistry()
 
 # -------------------------------------------------- iteration-record plumbing
 
-#: Scalar counters shared by ``IterationRecord`` and
-#: ``MultiIterationRecord``, in the canonical export order.
-_RECORD_SCALARS = (
+#: Counters shared by ``IterationRecord`` and ``MultiIterationRecord``,
+#: in the canonical export order.
+_RECORD_COUNTERS = (
     "closure_groups_reused",
     "closure_groups_rebuilt",
     "dirty_states",
     "affected_states",
     "product_hits",
     "product_misses",
-    "product_shards",
-)
-_RECORD_SCALARS_TAIL = (
-    "product_shard_handoffs",
-    "product_shard_merge_conflicts",
     "checker_fixpoint_work",
-    "checker_shards",
+    "test_retries",
+    "test_timeouts",
+    "tests_inconclusive",
+    "quarantine_size",
 )
 
 
-def record_counters(record) -> dict[str, int | list[int]]:
+def record_counters(record) -> dict[str, int]:
     """The ``product_*`` / ``checker_*`` counter namespaces of one record.
 
     Works on both ``IterationRecord`` and ``MultiIterationRecord`` (the
@@ -281,49 +279,19 @@ def record_counters(record) -> dict[str, int | list[int]]:
     ``counters`` object of ``result_to_dict`` exactly — this function is
     its single source.
     """
-    counters: dict[str, int | list[int]] = {
-        name: getattr(record, name) for name in _RECORD_SCALARS
-    }
-    counters["product_shard_states_explored"] = list(record.product_shard_states_explored)
-    counters["product_shard_handoffs"] = record.product_shard_handoffs
-    counters["product_shard_merge_conflicts"] = record.product_shard_merge_conflicts
-    counters["product_dense_states"] = record.product_dense_states
-    counters["product_bitset_words"] = record.product_bitset_words
-    counters["checker_fixpoint_work"] = record.checker_fixpoint_work
-    counters["checker_shards"] = record.checker_shards
-    counters["checker_shard_fixpoint_work"] = list(record.checker_shard_fixpoint_work)
-    counters["checker_shard_handoffs"] = record.checker_shard_handoffs
-    counters["test_retries"] = record.test_retries
-    counters["test_timeouts"] = record.test_timeouts
-    counters["tests_inconclusive"] = record.tests_inconclusive
-    counters["quarantine_size"] = record.quarantine_size
-    return counters
+    return {name: getattr(record, name) for name in _RECORD_COUNTERS}
 
 
 def publish_record(registry: MetricsRegistry, record) -> None:
     """Accumulate one iteration record's counters into a registry.
 
-    Scalars increment same-named counters; per-shard tuples increment
-    one indexed counter per shard (``product_shard_states_explored[k]``),
-    so the sum invariants (`sum(shards) == hits + misses`, etc.) can be
-    re-checked on the registry alone.  ``product_shards`` /
-    ``checker_shards`` are configuration, not work, and land in gauges,
-    as do the dense-product sizes (``product_dense_states`` /
-    ``product_bitset_words``) and ``quarantine_size``.
+    Every counter increments its same-named registry counter, except
+    ``quarantine_size``: a current size, not accumulated work, so it
+    lands in a gauge.
     """
     for name, value in record_counters(record).items():
-        if name in (
-            "product_shards",
-            "checker_shards",
-            "quarantine_size",
-            "product_dense_states",
-            "product_bitset_words",
-        ):
-            # Configuration / current-size values, not accumulated work.
-            registry.set_gauge(name, value)  # type: ignore[arg-type]
-        elif isinstance(value, list):
-            for index, item in enumerate(value):
-                registry.inc(f"{name}[{index}]", item)
+        if name == "quarantine_size":
+            registry.set_gauge(name, value)
         else:
             registry.inc(name, value)
     registry.inc("loop_iterations")

@@ -7,8 +7,8 @@ instrumentation can stay in the hot paths permanently:
 * ``with tracer.span("checker.check", kind="property"): ...`` times a
   block on the coordinator track (``"main"`` unless overridden);
 * ``tracer.record(name, track=..., start=t0, duration=dt)`` publishes a
-  measurement taken elsewhere — shard workers time themselves with
-  :func:`time.perf_counter` and report on their own per-shard track;
+  measurement taken elsewhere — a worker times itself with
+  :func:`time.perf_counter` and reports on its own track;
 * ``@tracer.wrap("learn.merge")`` decorates a function.
 
 Hierarchy is positional: spans on the same track nest by interval
@@ -144,7 +144,7 @@ class Tracer:
 
         ``start`` is an absolute :func:`time.perf_counter` value (the
         worker's own clock reading); it is rebased onto the tracer's
-        epoch here.  This is the API shard workers use — they must not
+        epoch here.  This is the API worker threads use — they must not
         share the coordinator's span stack or lock while running.
         """
         self._emit(name, track, start, duration, args)
@@ -237,8 +237,8 @@ _ENV_TRACER: "tuple[tuple[str, str], Tracer] | None" = None
 def resolve_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":
     """An explicit tracer, the ``REPRO_TRACE`` env tracer, or the null one.
 
-    Mirrors ``resolve_parallelism``: call sites thread ``None`` through
-    and resolution happens in one place.  The env tracer is process-wide
+    Call sites thread ``None`` through and resolution happens in one
+    place.  The env tracer is process-wide
     and created once per ``(path, format)`` pair.
     """
     if tracer is not None:
@@ -265,7 +265,9 @@ def _make_env_tracer(path: str, fmt: str) -> Tracer:
         atexit.register(write_chrome_trace, tracer, path)
         return tracer
     if fmt != "jsonl":
-        raise ValueError(f"{TRACE_FORMAT_ENV} must be 'jsonl' or 'chrome', got {fmt!r}")
+        from ..errors import SynthesisError
+
+        raise SynthesisError(f"{TRACE_FORMAT_ENV} must be 'jsonl' or 'chrome', got {fmt!r}")
     handle = open(path, "a", encoding="utf-8")
     lock = threading.Lock()
     pending = [0]

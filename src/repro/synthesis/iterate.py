@@ -66,7 +66,7 @@ from ..testing.robust import Quarantine, RobustExecution, RobustExecutor
 from ..testing.testcase import TestCase, TestStep, test_case_from_counterexample
 from .initial import StateLabeler, initial_model
 from .learning import RefusalMode, learn_blocked, learn_regular, refuse
-from .settings import SynthesisSettings, _UNSET, merge_legacy_settings
+from .settings import SynthesisSettings
 
 __all__ = [
     "Verdict",
@@ -85,17 +85,6 @@ DEFAULT_MAX_ITERATIONS = 500
 #: composed automaton, the violated formula, and a ready checker; must
 #: return a violating run of the composition.
 CounterexampleStrategy = Callable[[Automaton, Formula, ModelChecker], Run]
-
-
-def _warn_renamed_counter(old: str, new: str, record: str = "IterationRecord") -> None:
-    import warnings
-
-    warnings.warn(
-        f"{record}.{old} is deprecated and will be removed in repro 2.0; "
-        f"read {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class Verdict(Enum):
@@ -137,26 +126,6 @@ class IterationRecord:
     #: Worklist operations the checker spent on this iteration's fixpoints
     #: (populated on both paths; warm starts should show less work).
     checker_fixpoint_work: int = 0
-    # Sharded-exploration counters, split into the ``product_*`` and
-    # ``checker_*`` namespaces (matching ``CheckerStats.as_dict()``).
-    # Product counters are zero/empty when no product ran or when
-    # ``incremental=False``.  Per-shard breakdowns depend on the shard
-    # count, but their sums are scheduling-independent:
-    # ``sum(product_shard_states_explored) == product_hits + product_misses``
-    # and ``sum(checker_shard_fixpoint_work) == checker_fixpoint_work``.
-    product_shards: int = 0
-    product_shard_states_explored: tuple[int, ...] = ()
-    product_shard_handoffs: int = 0
-    product_shard_merge_conflicts: int = 0
-    # Dense product-BFS sizes (zero on the legacy dict-cache path).
-    # K-independent by construction: the interner's content is the
-    # reachable set plus previously interned states, regardless of how
-    # the exploration was sharded or scheduled.
-    product_dense_states: int = 0
-    product_bitset_words: int = 0
-    checker_shards: int = 1
-    checker_shard_fixpoint_work: tuple[int, ...] = ()
-    checker_shard_handoffs: int = 0
     # Robust-execution counters (all zero on a fault-free run with the
     # default retry policy).  ``tests_executed`` counts live attempts,
     # so ``tests_executed - test_retries`` is the number of supervised
@@ -165,23 +134,6 @@ class IterationRecord:
     test_timeouts: int = 0
     tests_inconclusive: int = 0
     quarantine_size: int = 0
-
-    # Pre-redesign names of the product shard counters, kept as
-    # deprecated read-only views.
-    @property
-    def shard_states_explored(self) -> tuple[int, ...]:
-        _warn_renamed_counter("shard_states_explored", "product_shard_states_explored")
-        return self.product_shard_states_explored
-
-    @property
-    def shard_handoffs(self) -> int:
-        _warn_renamed_counter("shard_handoffs", "product_shard_handoffs")
-        return self.product_shard_handoffs
-
-    @property
-    def shard_merge_conflicts(self) -> int:
-        _warn_renamed_counter("shard_merge_conflicts", "product_shard_merge_conflicts")
-        return self.product_shard_merge_conflicts
 
 
 @dataclass(frozen=True)
@@ -311,10 +263,8 @@ class IntegrationSynthesizer:
     settings:
         The consolidated loop-tuning knobs
         (:class:`~repro.synthesis.settings.SynthesisSettings`):
-        iteration budget, counterexample batching, incrementality, and
-        the product/checker shard counts.  The individual keyword
-        arguments below still work but are deprecated shims that
-        forward into it.
+        iteration budget, counterexample batching, incrementality,
+        test supervision, remote execution, and observability.
     initial_knowledge:
         Warm-start the series from a previously learned model instead of
         the trivial ``M_l^0`` — e.g. the ``final_model`` of an earlier
@@ -324,10 +274,6 @@ class IntegrationSynthesizer:
         every transition is re-executed and every refusal re-attempted,
         so a stale model (the component was updated) is rejected instead
         of silently breaking the safe-abstraction invariant.
-    max_iterations, counterexamples_per_iteration, incremental, parallelism:
-        Deprecated: pass these through ``settings=`` instead.  They
-        keep working (forwarded with a :class:`DeprecationWarning`) so
-        existing call sites survive the redesign.
     """
 
     def __init__(
@@ -341,25 +287,14 @@ class IntegrationSynthesizer:
         refusal_mode: RefusalMode = "deterministic",
         fast_conflict: bool = True,
         settings: SynthesisSettings | None = None,
-        max_iterations: int = _UNSET,  # type: ignore[assignment]
         composition_semantics: Semantics = "strict",
         counterexample_strategy: CounterexampleStrategy | None = None,
-        counterexamples_per_iteration: int = _UNSET,  # type: ignore[assignment]
         initial_knowledge: IncompleteAutomaton | None = None,
         validate_knowledge: bool = True,
         port: str = "port",
-        incremental: bool = _UNSET,  # type: ignore[assignment]
-        parallelism: int | None = _UNSET,  # type: ignore[assignment]
     ):
         assert_compositional(property)
-        settings = merge_legacy_settings(
-            settings,
-            "IntegrationSynthesizer",
-            max_iterations=max_iterations,
-            counterexamples_per_iteration=counterexamples_per_iteration,
-            incremental=incremental,
-            parallelism=parallelism,
-        )
+        settings = settings if settings is not None else SynthesisSettings()
         self.settings = settings
         self.tracer = resolve_tracer(settings.tracer)
         self.context = context
@@ -414,11 +349,6 @@ class IntegrationSynthesizer:
         self.counterexamples_per_iteration = settings.counterexamples_per_iteration
         self.port = port
         self.incremental = settings.incremental
-        self.parallelism = settings.resolved_parallelism()
-        self.checker_parallelism = settings.resolved_checker_parallelism()
-        self.dense = settings.dense
-        self.dense_product = settings.dense_product
-        self.product_strategy = settings.resolved_product_strategy()
         # Violations of properties mentioning the deadlock atom or an
         # eventuality (AF/AU) can hinge on the closure's *pessimistic
         # refusals* — a path that merely might end.  Only those need the
@@ -568,8 +498,6 @@ class IntegrationSynthesizer:
             synthesizer="IntegrationSynthesizer",
             max_iterations=self.max_iterations,
             incremental=self.incremental,
-            parallelism=self.parallelism,
-            checker_parallelism=self.checker_parallelism,
         )
 
         def note(rec: IterationRecord) -> None:
@@ -600,11 +528,6 @@ class IntegrationSynthesizer:
                 universes=[self.universe],
                 semantics=self.composition_semantics,
                 deterministic_implementation=True,
-                parallelism=self.parallelism,
-                checker_parallelism=self.checker_parallelism,
-                dense=self.dense,
-                dense_product=self.dense_product,
-                product_strategy=self.product_strategy,
                 tracer=tracer,
             )
             if self.incremental
@@ -633,14 +556,8 @@ class IntegrationSynthesizer:
                             self.context,
                             closure,
                             semantics=self.composition_semantics,
-                            parallelism=self.parallelism,
                         )
-                        checker = ModelChecker(
-                            composed,
-                            parallelism=self.checker_parallelism,
-                            dense=self.dense,
-                            tracer=tracer,
-                        )
+                        checker = ModelChecker(composed, tracer=tracer)
                     step_stats = None
                 with tracer.span("checker.check", kind="property"):
                     property_result = checker.check(self.weakened_property)
@@ -655,11 +572,8 @@ class IntegrationSynthesizer:
                         deadlock_free=deadlock_result.holds,
                         composed_states=len(composed.states),
                         checker_fixpoint_work=checker.stats.fixpoint_work,
-                        checker_shards=checker.stats.shards,
-                        checker_shard_handoffs=checker.stats.shard_handoffs,
                         product_hits=step_stats.product_hits if step_stats else 0,
                         product_misses=step_stats.product_misses if step_stats else 0,
-                        product_shards=step_stats.product_shards if step_stats else 0,
                         dirty_states=step_stats.dirty_states if step_stats else 0,
                         affected_states=step_stats.affected_states if step_stats else 0,
                     )
@@ -697,25 +611,6 @@ class IntegrationSynthesizer:
                         dirty_states=step_stats.dirty_states if step_stats else 0,
                         affected_states=step_stats.affected_states if step_stats else 0,
                         checker_fixpoint_work=checker.stats.fixpoint_work,
-                        product_shards=step_stats.product_shards if step_stats else 0,
-                        product_shard_states_explored=(
-                            step_stats.shard_states_explored if step_stats else ()
-                        ),
-                        product_shard_handoffs=(
-                            step_stats.shard_handoffs if step_stats else 0
-                        ),
-                        product_shard_merge_conflicts=(
-                            step_stats.shard_merge_conflicts if step_stats else 0
-                        ),
-                        product_dense_states=(
-                            step_stats.product_dense_states if step_stats else 0
-                        ),
-                        product_bitset_words=(
-                            step_stats.product_bitset_words if step_stats else 0
-                        ),
-                        checker_shards=checker.stats.shards,
-                        checker_shard_fixpoint_work=checker.stats.shard_fixpoint_work,
-                        checker_shard_handoffs=checker.stats.shard_handoffs,
                         test_retries=scratch.retries if scratch else 0,
                         test_timeouts=scratch.timeouts if scratch else 0,
                         tests_inconclusive=scratch.inconclusive if scratch else 0,
@@ -885,7 +780,7 @@ class IntegrationSynthesizer:
                         # so the iteration legitimately learns nothing.  The
                         # sound degraded answer is inconclusive, never a
                         # crash — found by the randomized conformance
-                        # campaign on dense-floor scenarios.
+                        # campaign on large scenarios.
                         self.flight.anomaly(
                             "chaos_zero_progress",
                             iteration=index,
@@ -1199,7 +1094,7 @@ class IntegrationSynthesizer:
             return results
 
         chunks = [pending]  # one component -> one ordered chunk
-        outputs = get_pool().map("thread", replay_chunk, chunks, workers=len(chunks))
+        outputs = get_pool().map(replay_chunk, chunks, workers=len(chunks))
         replayed: dict[int, ReplayResult] = {}
         for chunk_results in outputs:
             for position, result, seconds in chunk_results:

@@ -62,9 +62,9 @@ from ..testing.replay import replay
 from ..testing.robust import Quarantine, RobustExecution, RobustExecutor
 from ..testing.testcase import TestCase, TestStep
 from .initial import StateLabeler, initial_model
-from .iterate import Verdict, _warn_renamed_counter
+from .iterate import Verdict
 from .learning import RefusalMode, learn_blocked, learn_regular, refuse
-from .settings import SynthesisSettings, _UNSET, merge_legacy_settings
+from .settings import SynthesisSettings
 
 __all__ = ["MultiLegacySynthesizer", "MultiSynthesisResult", "MultiIterationRecord"]
 
@@ -97,54 +97,12 @@ class MultiIterationRecord:
     affected_states: int = 0
     #: Worklist operations the checker spent on this iteration's fixpoints.
     checker_fixpoint_work: int = 0
-    # Sharded-exploration counters in the ``product_*`` / ``checker_*``
-    # namespaces; per-shard breakdowns depend on the shard count, but
-    # ``sum(product_shard_states_explored) == product_hits + product_misses``
-    # and ``sum(checker_shard_fixpoint_work) == checker_fixpoint_work``
-    # for every shard count.
-    product_shards: int = 0
-    product_shard_states_explored: tuple[int, ...] = ()
-    product_shard_handoffs: int = 0
-    product_shard_merge_conflicts: int = 0
-    # Dense product-BFS sizes (zero on the legacy dict-cache path);
-    # K-independent, like every non-per-shard product counter.
-    product_dense_states: int = 0
-    product_bitset_words: int = 0
-    checker_shards: int = 1
-    checker_shard_fixpoint_work: tuple[int, ...] = ()
-    checker_shard_handoffs: int = 0
     # Robust-execution counters (all zero on a fault-free run with the
     # default retry policy).
     test_retries: int = 0
     test_timeouts: int = 0
     tests_inconclusive: int = 0
     quarantine_size: int = 0
-
-    # Pre-redesign names, kept as deprecated read-only views.
-    @property
-    def shard_states_explored(self) -> tuple[int, ...]:
-        _warn_renamed_counter(
-            "shard_states_explored",
-            "product_shard_states_explored",
-            record="MultiIterationRecord",
-        )
-        return self.product_shard_states_explored
-
-    @property
-    def shard_handoffs(self) -> int:
-        _warn_renamed_counter(
-            "shard_handoffs", "product_shard_handoffs", record="MultiIterationRecord"
-        )
-        return self.product_shard_handoffs
-
-    @property
-    def shard_merge_conflicts(self) -> int:
-        _warn_renamed_counter(
-            "shard_merge_conflicts",
-            "product_shard_merge_conflicts",
-            record="MultiIterationRecord",
-        )
-        return self.product_shard_merge_conflicts
 
 
 @dataclass(frozen=True)
@@ -240,8 +198,6 @@ class MultiLegacySynthesizer:
         The consolidated loop-tuning knobs
         (:class:`~repro.synthesis.settings.SynthesisSettings`), shared
         with :class:`~repro.synthesis.iterate.IntegrationSynthesizer`.
-        The individual ``max_iterations`` / ``incremental`` /
-        ``parallelism`` keywords still work but are deprecated shims.
         A ``counterexamples_per_iteration`` above 1 tests and learns
         from extra counterexamples of each failed check on top of the
         primary one.
@@ -258,21 +214,10 @@ class MultiLegacySynthesizer:
         refusal_mode: RefusalMode = "deterministic",
         fast_conflict: bool = True,
         settings: SynthesisSettings | None = None,
-        max_iterations: int = _UNSET,  # type: ignore[assignment]
-        counterexamples_per_iteration: int = _UNSET,  # type: ignore[assignment]
         port: str = "port",
-        incremental: bool = _UNSET,  # type: ignore[assignment]
-        parallelism: int | None = _UNSET,  # type: ignore[assignment]
     ):
         assert_compositional(property)
-        settings = merge_legacy_settings(
-            settings,
-            "MultiLegacySynthesizer",
-            max_iterations=max_iterations,
-            counterexamples_per_iteration=counterexamples_per_iteration,
-            incremental=incremental,
-            parallelism=parallelism,
-        )
+        settings = settings if settings is not None else SynthesisSettings()
         if not components:
             raise SynthesisError("MultiLegacySynthesizer needs at least one legacy component")
         names = [component.name for component in components]
@@ -289,11 +234,6 @@ class MultiLegacySynthesizer:
         self.counterexamples_per_iteration = settings.counterexamples_per_iteration
         self.port = port
         self.incremental = settings.incremental
-        self.parallelism = settings.resolved_parallelism()
-        self.checker_parallelism = settings.resolved_checker_parallelism()
-        self.dense = settings.dense
-        self.dense_product = settings.dense_product
-        self.product_strategy = settings.resolved_product_strategy()
         self.retry_policy = settings.resolved_retry_policy()
         self.flight = settings.resolved_flight_recorder()
         self.flight.bind(settings=settings)
@@ -388,9 +328,7 @@ class MultiLegacySynthesizer:
             )
         if len(parts) == 1:
             return parts[0]
-        composed = compose_all(
-            parts, semantics="open", name="multi-closure", parallelism=self.parallelism
-        )
+        composed = compose_all(parts, semantics="open", name="multi-closure")
         if len(parts) == 2:
             # compose_all leaves two-party states as plain pairs already.
             return composed
@@ -467,7 +405,7 @@ class MultiLegacySynthesizer:
             return results
 
         chunks = [by_slot[index] for index in sorted(by_slot)]
-        outputs = get_pool().map("thread", replay_chunk, chunks, workers=len(chunks))
+        outputs = get_pool().map(replay_chunk, chunks, workers=len(chunks))
         replayed: dict[int, object] = {}
         for chunk_results in outputs:
             for key, result, seconds in chunk_results:
@@ -713,8 +651,6 @@ class MultiLegacySynthesizer:
             components=[slot.name for slot in self.slots],
             max_iterations=self.max_iterations,
             incremental=self.incremental,
-            parallelism=self.parallelism,
-            checker_parallelism=self.checker_parallelism,
         )
 
         def note(rec: MultiIterationRecord) -> None:
@@ -745,11 +681,6 @@ class MultiLegacySynthesizer:
                 universes=[slot.universe for slot in self.slots],
                 semantics="open",
                 deterministic_implementation=True,
-                parallelism=self.parallelism,
-                checker_parallelism=self.checker_parallelism,
-                dense=self.dense,
-                dense_product=self.dense_product,
-                product_strategy=self.product_strategy,
                 tracer=tracer,
             )
             if self.incremental
@@ -771,12 +702,7 @@ class MultiLegacySynthesizer:
                 else:
                     with tracer.span("verify.step", models=len(self.slots)):
                         composed = self._compose()
-                        checker = ModelChecker(
-                            composed,
-                            parallelism=self.checker_parallelism,
-                            dense=self.dense,
-                            tracer=tracer,
-                        )
+                        checker = ModelChecker(composed, tracer=tracer)
                     step_stats = None
                 with tracer.span("checker.check", kind="property"):
                     property_result = checker.check(self.weakened_property)
@@ -791,11 +717,8 @@ class MultiLegacySynthesizer:
                         deadlock_free=deadlock_result.holds,
                         composed_states=len(composed.states),
                         checker_fixpoint_work=checker.stats.fixpoint_work,
-                        checker_shards=checker.stats.shards,
-                        checker_shard_handoffs=checker.stats.shard_handoffs,
                         product_hits=step_stats.product_hits if step_stats else 0,
                         product_misses=step_stats.product_misses if step_stats else 0,
-                        product_shards=step_stats.product_shards if step_stats else 0,
                         dirty_states=step_stats.dirty_states if step_stats else 0,
                         affected_states=step_stats.affected_states if step_stats else 0,
                     )
@@ -807,25 +730,6 @@ class MultiLegacySynthesizer:
                     dirty_states=step_stats.dirty_states if step_stats else 0,
                     affected_states=step_stats.affected_states if step_stats else 0,
                     checker_fixpoint_work=checker.stats.fixpoint_work,
-                    product_shards=step_stats.product_shards if step_stats else 0,
-                    product_shard_states_explored=(
-                        step_stats.shard_states_explored if step_stats else ()
-                    ),
-                    product_shard_handoffs=(
-                        step_stats.shard_handoffs if step_stats else 0
-                    ),
-                    product_shard_merge_conflicts=(
-                        step_stats.shard_merge_conflicts if step_stats else 0
-                    ),
-                    product_dense_states=(
-                        step_stats.product_dense_states if step_stats else 0
-                    ),
-                    product_bitset_words=(
-                        step_stats.product_bitset_words if step_stats else 0
-                    ),
-                    checker_shards=checker.stats.shards,
-                    checker_shard_fixpoint_work=checker.stats.shard_fixpoint_work,
-                    checker_shard_handoffs=checker.stats.shard_handoffs,
                     quarantine_size=len(self.quarantine),
                 )
 

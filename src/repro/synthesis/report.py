@@ -31,7 +31,7 @@ __all__ = [
 #: Version of the :func:`result_to_dict` JSON shape.  Bump the minor
 #: component when keys are added (consumers tolerate extras), the major
 #: component when keys are renamed, removed, or change meaning.
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "2.0"
 
 
 def knowledge_gaps(model, universe):
@@ -161,19 +161,18 @@ def render_iteration_table(result: SynthesisResult) -> str:
     """A fixed-width per-iteration table of a synthesis run.
 
     One header line, one row per iteration (pinned by the tests) — the
-    incremental/sharding work counters ride along as the last four
-    columns, sourced from :func:`repro.obs.metrics.record_counters` so
-    the table and the JSON export can never disagree.
+    incremental work counters ride along as the last three columns,
+    sourced from :func:`repro.obs.metrics.record_counters` so the table
+    and the JSON export can never disagree.
     """
     header = (
         f"{'it':>3} {'|S_l|':>5} {'|T|':>5} {'|T̄|':>5} {'|closure|':>9} "
         f"{'φ':>5} {'¬δ':>5} {'violated':>9} {'test':>10} {'gain':>5} "
-        f"{'hits':>6} {'miss':>6} {'fixwork':>8} {'handoff':>8}"
+        f"{'hits':>6} {'miss':>6} {'fixwork':>8}"
     )
     rows = [header, "-" * len(header)]
     for record in result.iterations:
         counters = record_counters(record)
-        handoffs = counters["product_shard_handoffs"] + counters["checker_shard_handoffs"]
         rows.append(
             f"{record.index:>3} {record.model_states:>5} {record.model_transitions:>5} "
             f"{record.model_refusals:>5} {record.closure_states:>9} "
@@ -182,7 +181,7 @@ def render_iteration_table(result: SynthesisResult) -> str:
             f"{(record.test_verdict.value if record.test_verdict else ('fast' if record.fast_conflict else '-')):>10} "
             f"{record.knowledge_gained:>5} "
             f"{counters['product_hits']:>6} {counters['product_misses']:>6} "
-            f"{counters['checker_fixpoint_work']:>8} {handoffs:>8}"
+            f"{counters['checker_fixpoint_work']:>8}"
         )
     return "\n".join(rows)
 
@@ -240,7 +239,7 @@ def result_to_dict(result: SynthesisResult) -> dict:
                 "test_verdict": record.test_verdict.value if record.test_verdict else None,
                 "tests_executed": record.tests_executed,
                 "knowledge_gained": record.knowledge_gained,
-                # Incremental/sharding counters in the two namespaces of
+                # Incremental-engine counters in the two namespaces of
                 # StepStats (product_*) and CheckerStats (checker_*);
                 # record_counters is the single source of this shape.
                 "counters": record_counters(record),
@@ -253,29 +252,14 @@ def result_to_dict(result: SynthesisResult) -> dict:
 def render_counter_totals(result: SynthesisResult) -> str:
     """Run totals of the ``product_*`` / ``checker_*`` counter namespaces.
 
-    Aggregates :func:`repro.obs.metrics.record_counters` over every
-    iteration: work counters sum, ``*_shards`` (configuration) take the
-    maximum, and per-shard lists sum element-wise.
+    Sums :func:`repro.obs.metrics.record_counters` over every iteration.
     """
-    totals: dict[str, int | list[int]] = {}
+    totals: dict[str, int] = {}
     for record in result.iterations:
         for name, value in record_counters(record).items():
-            if isinstance(value, list):
-                merged = list(totals.get(name, []))
-                merged += [0] * (len(value) - len(merged))
-                for index, item in enumerate(value):
-                    merged[index] += item
-                totals[name] = merged
-            elif name in ("product_shards", "checker_shards"):
-                totals[name] = max(int(totals.get(name, 0)), value)
-            else:
-                totals[name] = int(totals.get(name, 0)) + value
+            totals[name] = totals.get(name, 0) + value
     width = max(len(name) for name in totals) if totals else 0
-    lines = []
-    for name, value in totals.items():
-        rendered = " ".join(str(item) for item in value) if isinstance(value, list) else value
-        lines.append(f"{name:<{width}}  {rendered}")
-    return "\n".join(lines)
+    return "\n".join(f"{name:<{width}}  {value}" for name, value in totals.items())
 
 
 def render_markdown_report(

@@ -1,36 +1,22 @@
 """One consolidated knob surface for the synthesis loop.
 
-The verify → test → learn loop grew its tuning knobs one PR at a time:
-``max_iterations`` and ``counterexamples_per_iteration`` on the
-synthesizers, ``incremental`` with the warm engine, ``parallelism``
-with the sharded product, ``checker_parallelism`` with the sharded
-checker fixpoint.  :class:`SynthesisSettings` gathers them into one
-frozen, validated value that :func:`repro.integration.integrate`,
+:class:`SynthesisSettings` is one frozen, validated value that
+:func:`repro.integration.integrate`,
 :class:`~repro.synthesis.iterate.IntegrationSynthesizer`, and
 :class:`~repro.synthesis.multi.MultiLegacySynthesizer` all accept as
-``settings=``; the scattered keyword arguments still work but emit
-:class:`DeprecationWarning` and forward here.
+``settings=``.
 
-None of the knobs changes *what* is synthesized — verdicts,
-counterexamples, and learned models are bit-identical for every
-combination; they only trade time for memory or parallel workers (see
-``docs/performance.md``).
+``incremental`` does not change *what* is synthesized — verdicts,
+counterexamples, and learned models are bit-identical either way; it
+only trades memory for time (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-
-from ..automata.sharding import (
-    check_strategy,
-    resolve_checker_parallelism,
-    resolve_parallelism,
-    resolve_product_strategy,
-)
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..errors import CompositionError, SynthesisError
+from ..errors import SynthesisError
 from ..testing.faults import FaultProfile
 from ..testing.robust import RetryPolicy
 
@@ -40,20 +26,6 @@ if TYPE_CHECKING:  # runtime imports stay lazy so the component host
     from ..legacy.remote import RemotePolicy
 
 __all__ = ["SynthesisSettings"]
-
-
-class _Unset:
-    """Sentinel distinguishing "legacy keyword not passed" from an
-    explicit ``None`` (which is meaningful for the parallelism knobs).
-    The stable repr keeps generated API docs address-free."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<unset>"
-
-
-_UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -76,37 +48,6 @@ class SynthesisSettings:
         Carry closures, the composed product, and the checker's
         fixpoints across iterations (default), rebuilding only what a
         learning step invalidated.
-    parallelism:
-        Shard count for the product re-exploration (and large closure
-        rebuilds).  ``None`` defers to ``REPRO_PARALLELISM``, falling
-        back to 1.
-    checker_parallelism:
-        Shard count for the model checker's fixpoint solves.  ``None``
-        defers to ``REPRO_CHECKER_PARALLELISM`` and then follows
-        ``parallelism``, so setting one knob shards the whole pipeline.
-    dense:
-        Run the checker's fixpoints over the dense integer-indexed core
-        (interned ids, CSR adjacency, bitset images — see
-        :mod:`repro.automata.interning`).  ``None`` defers to
-        ``REPRO_DENSE`` when set and otherwise lets every checker pick
-        by product size (dense from
-        :data:`~repro.automata.interning.DENSE_STATE_FLOOR` states up);
-        ``False`` forces the legacy dict/set solvers (the differential
-        oracle), ``True`` forces the dense core everywhere.
-    dense_product:
-        Run the product BFS in id space (interned joint states, flat
-        ``array('I')`` shard frontiers, ``id % K`` ownership).  Same
-        tri-state convention as ``dense``, deferring to
-        ``REPRO_DENSE_PRODUCT`` and then to the size heuristic against
-        the *estimated* joint bound; ``False`` forces the legacy
-        dict-cache exploration with crc32-of-repr ownership.
-    product_strategy:
-        Force one execution strategy (``"sequential"``, ``"thread"``,
-        ``"process"``) for the product shard workers.  ``None`` defers
-        to ``REPRO_PRODUCT_STRATEGY`` and then to the automatic
-        workload-based selection
-        (:func:`repro.automata.sharding.select_strategy`); takes effect
-        only when ``parallelism > 1``.
     retry_policy:
         The :class:`repro.testing.robust.RetryPolicy` supervising every
         test execution: retry budget, backoff, per-step/per-test
@@ -159,11 +100,6 @@ class SynthesisSettings:
     max_iterations: int | None = None
     counterexamples_per_iteration: int = 1
     incremental: bool = True
-    parallelism: int | None = None
-    checker_parallelism: int | None = None
-    dense: bool | None = None
-    dense_product: bool | None = None
-    product_strategy: str | None = None
     retry_policy: RetryPolicy | None = None
     fault_profile: FaultProfile | None = None
     remote: RemotePolicy | bool | None = None
@@ -186,23 +122,6 @@ class SynthesisSettings:
             or self.counterexamples_per_iteration < 1
         ):
             raise SynthesisError("counterexamples_per_iteration must be positive")
-        if self.parallelism is not None:
-            resolve_parallelism(self.parallelism)
-        if self.checker_parallelism is not None:
-            resolve_checker_parallelism(self.checker_parallelism)
-        if self.dense is not None and not isinstance(self.dense, bool):
-            raise SynthesisError(
-                f"dense must be a bool or None, got {self.dense!r}"
-            )
-        if self.dense_product is not None and not isinstance(self.dense_product, bool):
-            raise SynthesisError(
-                f"dense_product must be a bool or None, got {self.dense_product!r}"
-            )
-        if self.product_strategy is not None:
-            try:
-                check_strategy(self.product_strategy)
-            except CompositionError as error:
-                raise SynthesisError(str(error)) from None
         if self.retry_policy is not None and not isinstance(self.retry_policy, RetryPolicy):
             raise SynthesisError(
                 f"retry_policy must be a RetryPolicy, got {type(self.retry_policy).__name__}"
@@ -246,44 +165,6 @@ class SynthesisSettings:
         """``max_iterations`` with the entry point's own default."""
         return default if self.max_iterations is None else self.max_iterations
 
-    def resolved_parallelism(self) -> int:
-        """The product shard count with environment fallback applied."""
-        return resolve_parallelism(self.parallelism)
-
-    def resolved_checker_parallelism(self) -> int:
-        """The checker shard count: explicit, env, or the product's."""
-        return resolve_checker_parallelism(
-            self.checker_parallelism, fallback=self.resolved_parallelism()
-        )
-
-    def resolved_dense(self, state_count: int | None = None) -> bool:
-        """The dense-core toggle with ``REPRO_DENSE`` fallback applied.
-
-        Without a ``state_count`` the answer for auto (``dense=None``,
-        no environment override) is the dense default; pass the product
-        size to get the per-checker size heuristic.
-        """
-        from ..automata.interning import resolve_dense
-
-        return resolve_dense(self.dense, state_count)
-
-    def resolved_dense_product(self, state_count: int | None = None) -> bool:
-        """The dense product-BFS toggle, ``REPRO_DENSE_PRODUCT`` applied.
-
-        Without a ``state_count`` the answer for auto
-        (``dense_product=None``, no environment override) is the dense
-        default; pass the estimated joint bound (the product of
-        component sizes) to get the per-update size heuristic the
-        engine itself applies.
-        """
-        from ..automata.interning import resolve_dense_product
-
-        return resolve_dense_product(self.dense_product, state_count)
-
-    def resolved_product_strategy(self) -> str | None:
-        """The forced product strategy: explicit, env, or ``None`` (auto)."""
-        return resolve_product_strategy(self.product_strategy)
-
     def resolved_retry_policy(self) -> RetryPolicy:
         """The retry policy with environment fallback applied."""
         return self.retry_policy if self.retry_policy is not None else RetryPolicy.from_env()
@@ -304,36 +185,3 @@ class SynthesisSettings:
 
         return resolve_flight_recorder(self.flight_recorder)
 
-
-def merge_legacy_settings(
-    settings: "SynthesisSettings | None",
-    owner: str,
-    *,
-    stacklevel: int = 3,
-    **overrides: object,
-) -> SynthesisSettings:
-    """Fold deprecated keyword arguments into a :class:`SynthesisSettings`.
-
-    Every override that is not the ``_UNSET`` sentinel emits a
-    :class:`DeprecationWarning` naming the replacement and is applied on
-    top of ``settings`` (or the defaults).  Shared by ``integrate()``
-    and both synthesizers so the shim behaves identically everywhere.
-
-    ``stacklevel`` must make the warning point at the *caller of the
-    deprecated API*, not at this helper or its caller: the default of 3
-    fits the direct ``caller → __init__/integrate() → here`` shape;
-    wrappers that add a frame pass a larger value.  Pinned by the
-    location assertions in ``tests/test_settings.py``.
-    """
-    base = settings if settings is not None else SynthesisSettings()
-    updates = {name: value for name, value in overrides.items() if value is not _UNSET}
-    if not updates:
-        return base
-    names = ", ".join(sorted(updates))
-    warnings.warn(
-        f"passing {names} to {owner} directly is deprecated and will be "
-        f"removed in repro 2.0; use settings=SynthesisSettings(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return replace(base, **updates)  # type: ignore[arg-type]

@@ -18,14 +18,13 @@ the expectation by full-composition model checking —
 ``context ∥ M_r ⊨ φ ∧ ¬δ`` — at construction time.  The campaign
 (:mod:`tools.campaign <tools.campaign>`) re-derives that ground truth
 independently and asserts that every configuration of the synthesis
-loop (incremental on/off, dense core on/off, sharded, fault-injected)
-and the :mod:`repro.baselines` learners agree with it.
+loop (incremental on/off, fault-injected or not) and the
+:mod:`repro.baselines` learners agree with it.
 
-Scenario sizes deliberately straddle the dense-core boundary: a slice
-of scenarios uses a :func:`repro.workloads.counter_client` driver large
-enough that the very first verify iteration composes a product beyond
-:data:`repro.automata.interning.DENSE_STATE_FLOOR` states, so the
-adaptive dense/dict choice is exercised in both regimes.
+Scenario sizes deliberately span two orders of magnitude: a slice of
+scenarios uses a :func:`repro.workloads.counter_client` driver large
+enough that the very first verify iteration composes a product of more
+than 2048 states.
 
 Specs serialize to plain JSON (states are repr-stable strings, every
 list canonically sorted), which is what makes shrunk regression
@@ -77,9 +76,9 @@ __all__ = [
     "LARGE_EVERY",
 ]
 
-#: Every ``LARGE_EVERY``-th seed generates a dense-floor-crossing
-#: scenario (driver periods in the high hundreds), so a 50-scenario
-#: smoke slice still exercises the adaptive boundary at least once.
+#: Every ``LARGE_EVERY``-th seed generates a large scenario (driver
+#: periods in the high hundreds, products beyond 2048 states), so a
+#: 50-scenario smoke slice still exercises a large product at least once.
 LARGE_EVERY = 25
 
 #: Verdict names used throughout specs, truths, and campaign reports.
@@ -370,7 +369,7 @@ def generate_scenario(seed: int, *, profile: str = "default") -> Scenario:
 
     ``profile`` picks the size envelope: ``"default"`` mixes tiny to
     medium scenarios and promotes every :data:`LARGE_EVERY`-th seed to a
-    dense-floor-crossing one; ``"tiny"`` caps everything small (used by
+    large one; ``"tiny"`` caps everything small (used by
     property tests where wall-clock matters more than coverage).
 
     The returned scenario's ``spec.expectation`` (and each slot's) is
@@ -518,17 +517,13 @@ class CampaignConfig:
 def default_matrix(seed: int = 0) -> tuple[CampaignConfig, ...]:
     """One config per matrix axis: the per-scenario differential set.
 
-    Every axis of {incremental, dense, parallelism, fault-profile} is
-    exercised against the baseline; the full 16-cell cross product is
-    available via :func:`full_matrix` for the nightly campaign's
-    deepest slice.
+    Each axis of {incremental, fault-profile} is exercised against the
+    baseline; the full 4-cell cross product is available via
+    :func:`full_matrix` for the nightly campaign's deepest slice.
     """
     return (
         CampaignConfig("baseline", SynthesisSettings()),
         CampaignConfig("non-incremental", SynthesisSettings(incremental=False)),
-        CampaignConfig("dense-on", SynthesisSettings(dense=True)),
-        CampaignConfig("dense-off", SynthesisSettings(dense=False)),
-        CampaignConfig("sharded-k4", SynthesisSettings(parallelism=4)),
         CampaignConfig(
             "chaos-mild",
             SynthesisSettings(fault_profile=FaultProfile.mild(seed % 1009 + 1)),
@@ -537,29 +532,15 @@ def default_matrix(seed: int = 0) -> tuple[CampaignConfig, ...]:
 
 
 def full_matrix(seed: int = 0) -> tuple[CampaignConfig, ...]:
-    """The full cross product: incremental × dense × K × fault profile."""
-    configs: list[CampaignConfig] = []
-    for incremental in (True, False):
-        for dense in (True, False):
-            for parallelism in (1, 4):
-                for faults in (None, FaultProfile.mild(seed % 1009 + 1)):
-                    name = (
-                        f"{'inc' if incremental else 'noinc'}"
-                        f"-{'dense' if dense else 'dict'}-k{parallelism}"
-                        f"-{'mild' if faults else 'nofault'}"
-                    )
-                    configs.append(
-                        CampaignConfig(
-                            name,
-                            SynthesisSettings(
-                                incremental=incremental,
-                                dense=dense,
-                                parallelism=parallelism,
-                                fault_profile=faults,
-                            ),
-                        )
-                    )
-    return tuple(configs)
+    """The full cross product: incremental × fault profile."""
+    return tuple(
+        CampaignConfig(
+            f"{'inc' if incremental else 'noinc'}-{'mild' if faults else 'nofault'}",
+            SynthesisSettings(incremental=incremental, fault_profile=faults),
+        )
+        for incremental in (True, False)
+        for faults in (None, FaultProfile.mild(seed % 1009 + 1))
+    )
 
 
 # ------------------------------------------------------------- evaluation
@@ -617,7 +598,7 @@ def baseline_verdicts(scenario: Scenario) -> dict[str, dict[str, str]]:
     observation ioco-style testing adds — see ``docs/conformance.md``.)
     So a BBC false alarm is recorded (``bbc_false_alarm``) but only a
     *missed* violation counts as a disagreement.  Joint scenarios and
-    dense-floor drivers are skipped (the baselines' cost profile is the
+    large drivers are skipped (the baselines' cost profile is the
     reason the paper's scheme exists).
     """
     from ..baselines import (

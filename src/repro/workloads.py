@@ -168,8 +168,8 @@ def counter_client(
     Unlike :func:`ping_client` (which may idle nondeterministically) the
     counter client is deterministic, so its state count — ``period + 1``
     — scales the composed product directly: with ``period`` in the high
-    hundreds a scenario's very first verify iteration crosses the
-    dense-core boundary (:data:`repro.automata.interning.DENSE_STATE_FLOOR`).
+    hundreds a scenario's very first verify iteration composes a product
+    of more than 2048 states.
     States are labeled ``{prefix}.idle`` / ``{prefix}.waiting`` so
     bounded-response properties read the same as for the plain client.
     """

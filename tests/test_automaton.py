@@ -198,3 +198,62 @@ class TestTransitionObject:
         t = Transition("s", Interaction(["a"], ["b"]), "t")
         assert t.inputs == frozenset({"a"})
         assert t.outputs == frozenset({"b"})
+
+
+class _TiedState:
+    """Distinct hashable states that share one repr (worst-case ties)."""
+
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: int):
+        self.ident = ident
+
+    def __repr__(self) -> str:
+        return "tied"
+
+    def __hash__(self) -> int:
+        return hash(("tied", self.ident))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _TiedState) and self.ident == other.ident
+
+
+def test_ordered_transitions_do_not_leak_dict_insertion_order():
+    """Equal-repr sources must not fall back to ``by_source`` insertion order."""
+    a, b = _TiedState(0), _TiedState(1)
+    edges = {
+        a: (
+            Transition(a, Interaction((), ("x",)), b),
+            Transition(a, Interaction((), ()), a),
+        ),
+        b: (Transition(b, Interaction(("y",), ()), a),),
+    }
+    edges = {
+        source: tuple(sorted(slice_, key=Transition.sort_key))
+        for source, slice_ in edges.items()
+    }
+
+    def assemble(by_source):
+        return Automaton._assemble(
+            states=frozenset([a, b]),
+            inputs=frozenset({"y"}),
+            outputs=frozenset({"x"}),
+            by_source=by_source,
+            transition_count=3,
+            initial=[a],
+            labels={},
+            name="tied",
+        )
+
+    forward = assemble(dict(edges))
+    backward = assemble(dict(reversed(list(edges.items()))))
+    assert forward.ordered_transitions == backward.ordered_transitions
+    rebuilt = Automaton(
+        states=[a, b],
+        inputs={"y"},
+        outputs={"x"},
+        transitions=forward.ordered_transitions,
+        initial=[a],
+        name="tied",
+    )
+    assert forward.ordered_transitions == rebuilt.ordered_transitions

@@ -28,15 +28,6 @@ def _report(**overrides) -> dict:
     report = {
         "machine": {"cpu": "test-cpu", "python": "3.12.0", "system": "Linux"},
         "headline": {"speedup_min": 3.2, "speedup_median": 3.5},
-        "dense": {"dense_vs_dict_speedup_min": 9.0, "k4_vs_k1_best_paired": 1.1},
-        "dense_product": {
-            "dense_vs_dict_best_paired": 1.9,
-            "k4_vs_k1_best_paired": 1.05,
-        },
-        "checker_sharded": {
-            "k1_vs_sequential_best_paired": 1.2,
-            "k4_vs_k1_speedup_min": 1.0,
-        },
         "robust": {"robust_overhead_fraction": 0.004},
         "traced": {
             "null_tracer_overhead_fraction": 0.003,
@@ -76,18 +67,18 @@ class TestAppend:
         assert [p["revision"] for p in recorded["points"]] == ["rev-0", "rev-1"]
         point = recorded["points"][0]
         assert point["machine"]["cpu"] == "test-cpu"
-        assert point["sections"]["dense"]["dense_vs_dict_speedup_min"] == 9.0
+        assert point["sections"]["headline"]["speedup_min"] == 3.2
         assert point["sections"]["flight"]["null_flight_overhead_fraction"] == 0.0002
 
     def test_rerun_on_same_revision_replaces_the_point(self, tmp_path):
         trend = tmp_path / "trend.json"
         first = _write(tmp_path, "a.json", _report())
-        redo = _write(tmp_path, "b.json", _report(**{"dense.dense_vs_dict_speedup_min": 9.5}))
+        redo = _write(tmp_path, "b.json", _report(**{"headline.speedup_min": 3.4}))
         assert bench_trend.main([first, "--trend", str(trend), "--rev", "same"]) == 0
         assert bench_trend.main([redo, "--trend", str(trend), "--rev", "same"]) == 0
         points = json.loads(trend.read_text())["points"]
         assert len(points) == 1
-        assert points[0]["sections"]["dense"]["dense_vs_dict_speedup_min"] == 9.5
+        assert points[0]["sections"]["headline"]["speedup_min"] == 3.4
 
     def test_unusable_report_exits_2(self, tmp_path, capsys):
         trend = tmp_path / "trend.json"
@@ -111,12 +102,12 @@ class TestRegressionCheck:
         trend = tmp_path / "trend.json"
         _seed_history(tmp_path, trend)
         bad = _write(
-            tmp_path, "bad.json", _report(**{"dense.dense_vs_dict_speedup_min": 4.0})
+            tmp_path, "bad.json", _report(**{"headline.speedup_min": 1.5})
         )
         code = bench_trend.main([bad, "--trend", str(trend), "--rev", "regressed"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "dense.dense_vs_dict_speedup_min" in err
+        assert "headline.speedup_min" in err
         assert "fell below" in err
         assert "trace_report.py --diff" in err  # the attribution pointer
 
@@ -145,14 +136,14 @@ class TestRegressionCheck:
         trend = tmp_path / "trend.json"
         _seed_history(tmp_path, trend)
         drift = _write(
-            tmp_path, "drift.json", _report(**{"dense.dense_vs_dict_speedup_min": 8.0})
+            tmp_path, "drift.json", _report(**{"headline.speedup_min": 2.9})
         )
         assert bench_trend.main([drift, "--trend", str(trend), "--rev", "drift"]) == 0
 
     def test_different_machine_never_compares(self, tmp_path, capsys):
         trend = tmp_path / "trend.json"
         _seed_history(tmp_path, trend)
-        other = _report(**{"dense.dense_vs_dict_speedup_min": 1.0})
+        other = _report(**{"headline.speedup_min": 1.0})
         other["machine"] = {"cpu": "other-cpu", "python": "3.12.0", "system": "Linux"}
         path = _write(tmp_path, "other.json", other)
         assert bench_trend.main([path, "--trend", str(trend), "--rev", "elsewhere"]) == 0
@@ -162,12 +153,12 @@ class TestRegressionCheck:
         trend = tmp_path / "trend.json"
         _seed_history(tmp_path, trend)
         bad = _write(
-            tmp_path, "bad.json", _report(**{"dense.dense_vs_dict_speedup_min": 4.0})
+            tmp_path, "bad.json", _report(**{"headline.speedup_min": 1.5})
         )
         assert bench_trend.main([bad, "--trend", str(trend), "--rev", "r", "--no-check"]) == 0
         capsys.readouterr()
         assert bench_trend.main(["--check-only", "--trend", str(trend)]) == 1
-        assert "dense.dense_vs_dict_speedup_min" in capsys.readouterr().err
+        assert "headline.speedup_min" in capsys.readouterr().err
 
     def test_real_repository_trajectory_passes(self, tmp_path):
         # The committed BENCH_loop.json replayed as its own history
@@ -187,7 +178,7 @@ class TestRendering:
         out = capsys.readouterr().out
         assert "revision" in out
         assert "rev-0" in out and "rev-1" in out
-        assert "9.00x" in out  # the dense column
+        assert "3.20x" in out  # the headline column
 
     def test_median_helper(self):
         assert bench_trend.median([3.0]) == 3.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.automata import Automaton
-from repro.logic import ModelChecker, check, parse
+from repro.logic import DEADLOCK_FREE, ModelChecker, check, parse
 
 
 def build(transitions, initial=("s0",), labels=None, inputs=(), outputs=("o",)):
@@ -163,6 +163,20 @@ class TestBoundedOperators:
 
 
 class TestCheckerInfrastructure:
+    def test_stats_dict_uses_checker_namespace(self, cycle):
+        checker = ModelChecker(cycle)
+        checker.sat(DEADLOCK_FREE)
+        stats = checker.stats.as_dict()
+        assert set(stats) == {
+            "checker_successors_reused",
+            "checker_sat_reused",
+            "checker_sat_patched",
+            "checker_sat_computed",
+            "checker_affected_states",
+            "checker_fixpoint_work",
+        }
+        assert stats["checker_sat_computed"] == 1
+
     def test_sat_is_memoised(self, cycle):
         checker = ModelChecker(cycle)
         formula = parse("AG (p or q)")

@@ -28,9 +28,7 @@ class TestRailcabCommand:
                     "railcab",
                     "--shuttle",
                     "correct",
-                    "--parallelism",
-                    "2",
-                    "--checker-parallelism",
+                    "--counterexamples",
                     "2",
                     "--max-iterations",
                     "200",

@@ -13,6 +13,10 @@ results on the RailCab workloads.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -205,6 +209,85 @@ def test_incremental_nary_product_equals_compose_all(models_a, models_b):
         assert step.automaton == compose_all(
             [up_a.closure, up_b.closure], semantics="open"
         )
+
+
+@SETTINGS
+@given(model_evolutions())
+def test_product_with_validation_never_falls_back(models):
+    """The ``validate=True`` cross-check confirms every update."""
+    client = _client()
+    cache = ClosureCache(UNIVERSE, deterministic_implementation=True)
+    product = IncrementalProduct(semantics="strict", validate=True)
+    for model in models:
+        update = cache.update(model)
+        step = product.update(
+            [client, update.closure], [frozenset(), update.dirty_states]
+        )
+        assert not step.fell_back
+        assert step.automaton == compose(client, update.closure, semantics="strict")
+    assert product.fallbacks == 0
+
+
+@SETTINGS
+@given(model_evolutions())
+def test_warm_update_is_all_hits(models):
+    """Re-running an unchanged model re-explores without a single miss."""
+    client = _client()
+    cache = ClosureCache(UNIVERSE, deterministic_implementation=True)
+    product = IncrementalProduct(semantics="strict")
+    update = None
+    for model in models:
+        update = cache.update(model)
+        product.update([client, update.closure], [frozenset(), update.dirty_states])
+    warm = product.update([client, update.closure], [frozenset(), frozenset()])
+    assert warm.misses == 0
+    assert warm.hits == len(warm.automaton.states)
+    reference = compose(client, update.closure, semantics="strict")
+    assert warm.automaton == reference
+    assert warm.automaton.ordered_transitions == reference.ordered_transitions
+
+
+_FINGERPRINT_SCRIPT = """
+import hashlib
+from tests.test_incremental import UNIVERSE, _client
+from repro.automata import IncompleteAutomaton
+from repro.automata.incremental import ClosureCache, IncrementalProduct
+
+client = _client()
+model = IncompleteAutomaton(
+    states=["q0"], inputs={"ping"}, outputs={"pong"}, transitions=(),
+    refusals=(), initial=["q0"], labels={"q0": {"p"}}, name="M_l^0",
+)
+cache = ClosureCache(UNIVERSE, deterministic_implementation=True)
+product = IncrementalProduct(semantics="strict")
+update = cache.update(model)
+step = product.update([client, update.closure], [frozenset(), update.dirty_states])
+digest = hashlib.sha256()
+for t in step.automaton.ordered_transitions:
+    digest.update(repr((repr(t.source), sorted(t.inputs), sorted(t.outputs), repr(t.target))).encode())
+for s in sorted(step.automaton.states, key=repr):
+    digest.update(repr(sorted(step.automaton.labels(s))).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_canonical_order_is_hash_seed_independent():
+    """Three fresh interpreters, three hash seeds, one fingerprint."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    root = os.path.dirname(src)
+    fingerprints = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src + os.pathsep + root)
+        result = subprocess.run(
+            [sys.executable, "-c", _FINGERPRINT_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+            check=True,
+        )
+        fingerprints.add(result.stdout.strip())
+    assert len(fingerprints) == 1, fingerprints
 
 
 # ------------------------------------------------------------------ warm checker

@@ -1,228 +1,150 @@
-"""Full-loop determinism of the sharded synthesis pipeline.
+"""Golden iteration records of the synthesis loop.
 
-The RailCab convoy loop is run twice at ``parallelism=4`` (which also
-shards the checker fixpoints via the checker-parallelism fallback) and
-once sequentially: iteration counts, counterexamples, learned models,
-and every :class:`IterationRecord` counter must be identical — except
-the per-shard breakdowns, whose shape depends on the shard count but
-whose sums must stay consistent on every iteration
-(``sum(product_shard_states_explored) == product_hits + product_misses``
-and ``sum(checker_shard_fixpoint_work) == checker_fixpoint_work``).
-Note ``checker_fixpoint_work`` itself is *not* exempted: the sharded
-fixpoint performs exactly the sequential admissions/removals, so the
-total is pinned record-by-record across every shard count.
+Three runs are pinned record by record against
+``tests/fixtures/golden_records.json``: the RailCab convoy, the
+two-legacy convoy, and one factory scenario whose product crosses 2048
+joint states.  Every field of every :class:`IterationRecord` /
+:class:`MultiIterationRecord` — counters, counterexamples and observed
+runs included — must match the fixture exactly, so any change to the
+product, checker, counterexample, test or learning steps that moves
+a verdict or a counter shows up here, iteration by iteration.
+
+Values are encoded canonically (sets sorted, enums by value) so the
+fixture is independent of ``PYTHONHASHSEED``.  Regenerate it only when a
+record change is intended::
+
+    PYTHONPATH=src python tests/test_loop_determinism.py
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import railcab
-from repro.synthesis import IntegrationSynthesizer, SynthesisSettings, Verdict
+from repro.automata.interaction import Interaction
+from repro.integration import integrate
+from repro.synthesis import IntegrationSynthesizer
 from repro.synthesis.multi import MultiLegacySynthesizer
+from repro.testing.faults import FAULT_SEED_ENV
+from repro.testing.scenario import generate_scenario
 
-#: IterationRecord fields that legitimately vary with the shard count
-#: (a single shard emits no handoffs and hence no merge conflicts);
-#: everything else must match field-for-field.  Between runs at the
-#: *same* shard count even these are exactly equal.
-PER_SHARD_FIELDS = (
-    "product_shards",
-    "product_shard_states_explored",
-    "product_shard_handoffs",
-    "product_shard_merge_conflicts",
-    "checker_shards",
-    "checker_shard_fixpoint_work",
-    "checker_shard_handoffs",
-)
+FIXTURE = Path(__file__).parent / "fixtures" / "golden_records.json"
+
+#: A factory seed whose product reaches 3034 joint states and which ends
+#: in a real violation after five learning iterations.
+LARGE_SCENARIO_SEED = 125
 
 
-def _convoy(parallelism: int | None) -> IntegrationSynthesizer:
+def encode(value):
+    """A JSON value for ``value`` that does not depend on hash order."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {field.name: encode(getattr(value, field.name)) for field in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, Interaction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [encode(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted((encode(item) for item in value), key=repr)
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return repr(value)
+
+
+def _convoy():
     return IntegrationSynthesizer(
         railcab.front_role_automaton(),
         railcab.correct_rear_shuttle(convoy_ticks=2),
         railcab.PATTERN_CONSTRAINT,
         labeler=railcab.rear_state_labeler,
         port="rearRole",
-        settings=SynthesisSettings(parallelism=parallelism),
-    )
+    ).run()
 
 
-def _assert_records_match(left, right, *, modulo_shards: bool) -> None:
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        skip = PER_SHARD_FIELDS if modulo_shards else ()
-        for field_name in type(a).__dataclass_fields__:
-            if field_name in skip:
-                continue
-            assert getattr(a, field_name) == getattr(b, field_name), field_name
-        # The per-shard breakdowns must still sum consistently.
-        for record in (a, b):
-            assert sum(record.product_shard_states_explored) == (
-                record.product_hits + record.product_misses
-            )
-            assert sum(record.checker_shard_fixpoint_work) == (
-                record.checker_fixpoint_work
-            )
+def _two_legacy_convoy():
+    return MultiLegacySynthesizer(
+        None,
+        [railcab.correct_front_shuttle(), railcab.correct_rear_shuttle(convoy_ticks=2)],
+        railcab.PATTERN_CONSTRAINT,
+        labelers={
+            "frontShuttle": railcab.front_state_labeler,
+            "rearShuttle": railcab.rear_state_labeler,
+        },
+    ).run()
+
+
+def _large_scenario():
+    scenario = generate_scenario(LARGE_SCENARIO_SEED)
+    report = integrate(scenario.architecture, scenario.components)
+    (result,) = report.placements.values()
+    return result
+
+
+RUNS = {
+    "convoy": _convoy,
+    "two-legacy-convoy": _two_legacy_convoy,
+    "large-scenario": _large_scenario,
+}
+
+
+def capture() -> dict:
+    return {
+        name: {
+            "verdict": run.verdict.value,
+            "records": [encode(record) for record in run.iterations],
+        }
+        for name, run in ((name, build()) for name, build in RUNS.items())
+    }
 
 
 @pytest.fixture(scope="module")
-def runs():
-    # The fixture pins shard counts explicitly (4 vs 1) and asserts the
-    # checker-parallelism *fallback*, so the env knobs must not leak in
-    # (CI re-runs the suite under REPRO_CHECKER_PARALLELISM=4).
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("REPRO_CHECKER_PARALLELISM", raising=False)
-        first = _convoy(4).run()
-        second = _convoy(4).run()
-        sequential = _convoy(1).run()
-    return first, second, sequential
+def golden() -> dict:
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
-def test_repeated_sharded_runs_are_identical(runs):
-    first, second, _ = runs
-    assert first.verdict is second.verdict is Verdict.PROVEN
-    assert first.iteration_count == second.iteration_count
-    assert first.final_model == second.final_model
-    assert first.final_closure == second.final_closure
-    for a, b in zip(first.iterations, second.iterations):
-        assert a.counterexample == b.counterexample
-    _assert_records_match(first.iterations, second.iterations, modulo_shards=False)
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_records_match_golden_fixture(golden, name, monkeypatch):
+    # The fixture holds fault-free runs; injected faults legitimately
+    # add retries (and may degrade a verdict), so the suite-wide
+    # REPRO_FAULT_SEED must not reach these runs.
+    monkeypatch.delenv(FAULT_SEED_ENV, raising=False)
+    run = RUNS[name]()
+    expected = golden[name]
+    assert run.verdict.value == expected["verdict"]
+    assert len(run.iterations) == len(expected["records"])
+    for record, pinned in zip(run.iterations, expected["records"]):
+        fields = [field.name for field in dataclasses.fields(record)]
+        assert fields == list(pinned), f"{name}: record fields changed"
+        for field_name in fields:
+            assert encode(getattr(record, field_name)) == pinned[field_name], (
+                f"{name} iteration {record.index}: {field_name}"
+            )
 
 
-def test_sharded_run_equals_sequential_run(runs):
-    first, _, sequential = runs
-    assert first.verdict is sequential.verdict is Verdict.PROVEN
-    assert first.iteration_count == sequential.iteration_count
-    assert first.final_model == sequential.final_model
-    assert first.final_closure == sequential.final_closure
-    for a, b in zip(first.iterations, sequential.iterations):
-        assert a.counterexample == b.counterexample
-    _assert_records_match(first.iterations, sequential.iterations, modulo_shards=True)
+def test_large_scenario_has_more_than_2048_states(golden):
+    records = golden["large-scenario"]["records"]
+    assert max(record["composed_states"] for record in records) > 2048
 
 
-def test_sharded_run_actually_sharded(runs):
-    first, _, sequential = runs
-    assert all(r.product_shards == 4 for r in first.iterations)
-    assert all(len(r.product_shard_states_explored) == 4 for r in first.iterations)
-    assert all(r.product_shards == 1 for r in sequential.iterations)
-    # The joint state space is spread across shards on some iteration.
-    assert any(
-        sum(1 for n in r.product_shard_states_explored if n) > 1
-        for r in first.iterations
-    )
-    assert any(r.product_shard_handoffs > 0 for r in first.iterations)
+def dump(golden: dict) -> str:
+    """The fixture text: one compact line per record, for readable diffs."""
+    compact = {"separators": (",", ":")}
+    runs = []
+    for name, run in golden.items():
+        records = ",\n".join(json.dumps(record, **compact) for record in run["records"])
+        runs.append(
+            f'{json.dumps(name)}:{{"verdict":{json.dumps(run["verdict"])},"records":[\n{records}]}}'
+        )
+    return "{\n" + ",\n".join(runs) + "}\n"
 
 
-def test_checker_shards_follow_product_parallelism(runs):
-    first, _, sequential = runs
-    # checker_parallelism falls back to the product parallelism.
-    assert all(r.checker_shards == 4 for r in first.iterations)
-    assert all(len(r.checker_shard_fixpoint_work) == 4 for r in first.iterations)
-    assert all(r.checker_shards == 1 for r in sequential.iterations)
-    # The sharded fixpoint does real cross-shard work on some iteration.
-    assert any(
-        sum(1 for n in r.checker_shard_fixpoint_work if n) > 1
-        for r in first.iterations
-    )
-    assert any(r.checker_shard_handoffs > 0 for r in first.iterations)
-    # Total admissions/removals are conserved exactly, iteration by
-    # iteration — the determinism claim for the checker fixpoints.
-    for a, b in zip(first.iterations, sequential.iterations):
-        assert a.checker_fixpoint_work == b.checker_fixpoint_work
-
-
-def test_deprecated_record_counter_aliases(runs):
-    first, _, _ = runs
-    record = first.iterations[0]
-    with pytest.deprecated_call():
-        assert record.shard_states_explored == record.product_shard_states_explored
-    with pytest.deprecated_call():
-        assert record.shard_handoffs == record.product_shard_handoffs
-    with pytest.deprecated_call():
-        assert record.shard_merge_conflicts == record.product_shard_merge_conflicts
-
-
-def test_dense_product_loop_counters_are_parallelism_independent():
-    """The dense product BFS pins its counters record-by-record.
-
-    ``product_dense_states`` is the interner size — the union of initial
-    joint states and the targets of the (scheduling-independent) miss
-    set — so it is *not* a per-shard field: every K must report the same
-    value on every iteration, and ``product_bitset_words`` must be its
-    exact ⌈n/64⌉.  ``_assert_records_match`` pins both automatically;
-    this test additionally proves the run actually went dense.
-    """
-
-    def build(parallelism):
-        return IntegrationSynthesizer(
-            railcab.front_role_automaton(),
-            railcab.correct_rear_shuttle(convoy_ticks=2),
-            railcab.PATTERN_CONSTRAINT,
-            labeler=railcab.rear_state_labeler,
-            port="rearRole",
-            settings=SynthesisSettings(parallelism=parallelism, dense_product=True),
-        ).run()
-
-    sharded = build(4)
-    sequential = build(1)
-    assert sharded.verdict is sequential.verdict is Verdict.PROVEN
-    assert sharded.final_model == sequential.final_model
-    _assert_records_match(sharded.iterations, sequential.iterations, modulo_shards=True)
-    for run in (sharded, sequential):
-        assert all(r.product_dense_states > 0 for r in run.iterations)
-        for r in run.iterations:
-            assert r.product_bitset_words == (r.product_dense_states + 63) // 64
-    # The interner only ever grows across the learning sequence.
-    sizes = [r.product_dense_states for r in sharded.iterations]
-    assert sizes == sorted(sizes)
-
-
-def test_faulty_shuttle_violation_is_parallelism_independent():
-    def build(parallelism):
-        return IntegrationSynthesizer(
-            railcab.front_role_automaton(),
-            railcab.faulty_rear_shuttle(),
-            railcab.PATTERN_CONSTRAINT,
-            labeler=railcab.rear_state_labeler,
-            port="rearRole",
-            settings=SynthesisSettings(parallelism=parallelism),
-        ).run()
-
-    sharded = build(4)
-    sequential = build(None)
-    assert sharded.verdict is sequential.verdict is Verdict.REAL_VIOLATION
-    assert sharded.violation_kind == sequential.violation_kind
-    assert sharded.violation_witness == sequential.violation_witness
-    assert sharded.final_model == sequential.final_model
-    _assert_records_match(sharded.iterations, sequential.iterations, modulo_shards=True)
-
-
-def test_multi_legacy_loop_is_parallelism_independent():
-    def build(parallelism, checker_parallelism=None):
-        return MultiLegacySynthesizer(
-            None,
-            [
-                railcab.correct_front_shuttle(),
-                railcab.correct_rear_shuttle(convoy_ticks=2),
-            ],
-            railcab.PATTERN_CONSTRAINT,
-            labelers={
-                "frontShuttle": railcab.front_state_labeler,
-                "rearShuttle": railcab.rear_state_labeler,
-            },
-            settings=SynthesisSettings(
-                parallelism=parallelism, checker_parallelism=checker_parallelism
-            ),
-        ).run()
-
-    sharded = build(4)
-    cross = build(1, checker_parallelism=4)  # checker sharded, product not
-    sequential = build(1)
-    assert sharded.verdict is cross.verdict is sequential.verdict is Verdict.PROVEN
-    assert sharded.iteration_count == sequential.iteration_count
-    assert sharded.final_models == sequential.final_models
-    assert cross.final_models == sequential.final_models
-    _assert_records_match(sharded.iterations, sequential.iterations, modulo_shards=True)
-    _assert_records_match(cross.iterations, sequential.iterations, modulo_shards=True)
-    assert all(r.product_shards == 1 for r in cross.iterations)
-    assert all(r.checker_shards == 4 for r in cross.iterations)
+if __name__ == "__main__":
+    FIXTURE.write_text(dump(capture()), encoding="utf-8")
+    print(f"wrote {FIXTURE}", file=sys.stderr)

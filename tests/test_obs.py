@@ -194,8 +194,7 @@ class TestRecordPlumbing:
 
         record = IterationRecord(
             0, 1, 0, 0, 1, 0, 1, True, True, None, None, False, None, 2, 1, None, 3,
-            product_hits=5, product_misses=2, product_shards=2,
-            product_shard_states_explored=(4, 3),
+            product_hits=5, product_misses=2, quarantine_size=1,
         )
         registry = MetricsRegistry()
         publish_record(registry, record)
@@ -205,11 +204,9 @@ class TestRecordPlumbing:
         assert snapshot["counters"]["loop_iterations"] == 2
         assert snapshot["counters"]["loop_tests_executed"] == 4
         assert snapshot["counters"]["loop_knowledge_gained"] == 6
-        assert snapshot["counters"]["product_shard_states_explored[0]"] == 8
-        assert snapshot["counters"]["product_shard_states_explored[1]"] == 6
-        # Shard *counts* are configuration, not work: gauges.
-        assert snapshot["gauges"]["product_shards"] == 2
-        assert "product_shards" not in snapshot["counters"]
+        # The quarantine size is a current size, not work: a gauge.
+        assert snapshot["gauges"]["quarantine_size"] == 1
+        assert "quarantine_size" not in snapshot["counters"]
 
     def test_record_counters_key_order_matches_result_to_dict(self):
         from repro.synthesis import IterationRecord
@@ -224,16 +221,7 @@ class TestRecordPlumbing:
             "affected_states",
             "product_hits",
             "product_misses",
-            "product_shards",
-            "product_shard_states_explored",
-            "product_shard_handoffs",
-            "product_shard_merge_conflicts",
-            "product_dense_states",
-            "product_bitset_words",
             "checker_fixpoint_work",
-            "checker_shards",
-            "checker_shard_fixpoint_work",
-            "checker_shard_handoffs",
             "test_retries",
             "test_timeouts",
             "tests_inconclusive",
@@ -268,9 +256,9 @@ class TestTracer:
 
         tracer = Tracer()
         begin = time.perf_counter()
-        tracer.record("worker", track="shard-1", start=begin, duration=0.5, round=2)
+        tracer.record("worker", track="worker-1", start=begin, duration=0.5, round=2)
         span = tracer.spans[0]
-        assert span.track == "shard-1"
+        assert span.track == "worker-1"
         assert span.start >= 0.0  # rebased, not the absolute clock value
         assert span.start < 10.0
         assert span.args == {"round": 2}
@@ -328,6 +316,16 @@ class TestNullTracer:
         tracer = Tracer()
         assert resolve_tracer(tracer) is tracer
 
+    def test_unknown_env_format_is_a_synthesis_error(self, monkeypatch, tmp_path):
+        from repro.obs.tracer import TRACE_ENV, TRACE_FORMAT_ENV
+
+        path = tmp_path / "trace.out"
+        monkeypatch.setenv(TRACE_ENV, str(path))
+        monkeypatch.setenv(TRACE_FORMAT_ENV, "xml")
+        with pytest.raises(SynthesisError, match=f"{TRACE_FORMAT_ENV}.*'xml'"):
+            resolve_tracer(None)
+        assert not path.exists()
+
 
 class TestSettingsIntegration:
     def test_settings_reject_non_tracer(self):
@@ -353,9 +351,6 @@ class TestLoopSpanContract:
         assert names - LOOP_SPAN_NAMES <= {
             "checker.fixpoint",
             "checker.bounded",
-            "checker.shard_round",
-            "product.shard_round",
-            "product.merge",
             "test.retry",
             "fault.inject",
         }
@@ -441,7 +436,7 @@ class TestLoopSpanContract:
 
 class TestChromeTrace:
     def test_document_shape(self):
-        tracer, _ = _traced_run(parallelism=2, checker_parallelism=2)
+        tracer, _ = _traced_run()
         document = chrome_trace(tracer)
         assert document["displayTimeUnit"] == "ms"
         events = document["traceEvents"]
@@ -453,8 +448,7 @@ class TestChromeTrace:
             e["args"]["name"] for e in events
             if e.get("ph") == "M" and e["name"] == "thread_name"
         }
-        assert "main" in tracks
-        assert any(t.startswith("checker/shard-") for t in tracks)
+        assert tracks == {"main"}
         complete = [e for e in events if e.get("ph") == "X"]
         assert complete, "expected X events"
         for event in complete:
@@ -624,7 +618,7 @@ IntegrationSynthesizer(
     railcab.PATTERN_CONSTRAINT,
     labeler=railcab.rear_state_labeler,
     port="rearRole",
-    settings=SynthesisSettings(tracer=tracer, parallelism=2, checker_parallelism=2),
+    settings=SynthesisSettings(tracer=tracer),
 ).run()
 shape = sorted(
     (span.track, span.name, json.dumps(span.args, sort_keys=True))

@@ -785,11 +785,16 @@ class TestResolveRemote:
         assert resolve_remote(False) is None
 
     def test_environment_fallback(self, monkeypatch):
-        for raw in ("", "0", "false", "no", "off"):
+        for raw in ("", "0", "false", "no", "off", " OFF "):
             monkeypatch.setenv(REMOTE_ENV, raw)
             assert resolve_remote(None) is None
-        monkeypatch.setenv(REMOTE_ENV, "1")
-        assert resolve_remote(None) == RemotePolicy()
+        for raw in ("1", "true", "yes", "on", "True"):
+            monkeypatch.setenv(REMOTE_ENV, raw)
+            assert resolve_remote(None) == RemotePolicy()
+        for raw in ("of", "2", "enable"):
+            monkeypatch.setenv(REMOTE_ENV, raw)
+            with pytest.raises(SynthesisError, match=f"{REMOTE_ENV}.*{raw!r}"):
+                resolve_remote(None)
         monkeypatch.delenv(REMOTE_ENV)
         assert resolve_remote(None) is None
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro import railcab
-from repro.automata import Automaton, Interaction, Run
+from repro.automata import Automaton, Interaction, Run, WorkerPool
 from repro.errors import (
     FaultInjectionError,
     ModelError,
@@ -733,3 +733,14 @@ class TestRealDeadlinePreemption:
             budget = policy.max_attempts * policy.record_rounds + 2
             assert elapsed < profile.hang_seconds
             assert elapsed < budget * (deadline + 5.0)
+
+
+def test_worker_pool_map_preserves_order():
+    pool = WorkerPool()
+    try:
+        tasks = list(range(20))
+        assert pool.map(lambda x: x * x, tasks, workers=4) == [x * x for x in tasks]
+        assert pool.map(lambda x: -x, tasks[:1], workers=4) == [0]
+        assert pool.stats["pool_inline_calls"] == 1
+    finally:
+        pool.shutdown()

@@ -134,7 +134,7 @@ class TestResultExport:
         # this exact value (see SCHEMA_VERSION in repro.synthesis.report).
         from repro.synthesis.report import SCHEMA_VERSION
 
-        assert document["schema_version"] == SCHEMA_VERSION == "1.1"
+        assert document["schema_version"] == SCHEMA_VERSION == "2.0"
         assert list(document)[0] == "schema_version"
         assert document["verdict"] == "real-violation"
         assert document["violation_kind"] == "property"

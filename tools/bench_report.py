@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Run the incremental-loop benchmarks and write ``BENCH_loop.json``.
 
-Drives ``benchmarks/bench_incremental_loop.py`` and
-``benchmarks/bench_dense_core.py`` under pytest-benchmark with
-``--benchmark-json``, then normalizes the raw report into the
+Drives ``benchmarks/bench_incremental_loop.py`` under pytest-benchmark
+with ``--benchmark-json``, then normalizes the raw report into the
 compact, diffable shape the repository tracks::
 
     python tools/bench_report.py [--output BENCH_loop.json] [--keep-raw PATH]
@@ -27,10 +26,7 @@ import sys
 import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH_FILES = (
-    REPO_ROOT / "benchmarks" / "bench_incremental_loop.py",
-    REPO_ROOT / "benchmarks" / "bench_dense_core.py",
-)
+BENCH_FILES = (REPO_ROOT / "benchmarks" / "bench_incremental_loop.py",)
 
 #: Wall-time statistics copied verbatim from pytest-benchmark.
 _STATS = ("min", "max", "mean", "median", "stddev", "rounds", "iterations")
@@ -80,60 +76,6 @@ def normalize(raw: dict) -> dict:
             "speedup_median": speedup.get("speedup_median"),
             "iterations": speedup.get("iterations"),
             "convoy_ticks": speedup.get("convoy_ticks"),
-        }
-    k1 = report["benchmarks"].get("test_sharded_loop_k1_no_regression")
-    k4 = report["benchmarks"].get("test_sharded_loop_k4_speedup_report")
-    if k1 is not None or k4 is not None:
-        report["sharded"] = {
-            "k1_vs_sequential_best_paired": (k1 or {}).get("k1_vs_sequential_best_paired"),
-            "k1_vs_sequential_min_ratio": (k1 or {}).get("k1_vs_sequential_min_ratio"),
-            "k4_vs_k1_speedup_min": (k4 or {}).get("k4_vs_k1_speedup_min"),
-            "k4_vs_k1_speedup_median": (k4 or {}).get("k4_vs_k1_speedup_median"),
-            "shard_handoffs_total": (k4 or {}).get("shard_handoffs_total"),
-            "shard_merge_conflicts_total": (k4 or {}).get("shard_merge_conflicts_total"),
-        }
-    ck1 = report["benchmarks"].get("test_checker_sharded_loop_k1_no_regression")
-    ck4 = report["benchmarks"].get("test_checker_sharded_loop_k4_speedup_report")
-    if ck1 is not None or ck4 is not None:
-        report["checker_sharded"] = {
-            "k1_vs_sequential_best_paired": (ck1 or {}).get("k1_vs_sequential_best_paired"),
-            "k1_vs_sequential_min_ratio": (ck1 or {}).get("k1_vs_sequential_min_ratio"),
-            "k4_vs_k1_speedup_min": (ck4 or {}).get("k4_vs_k1_speedup_min"),
-            "k4_vs_k1_speedup_median": (ck4 or {}).get("k4_vs_k1_speedup_median"),
-            "checker_shard_handoffs_total": (ck4 or {}).get("checker_shard_handoffs_total"),
-            "checker_fixpoint_work_total": (ck4 or {}).get("checker_fixpoint_work_total"),
-        }
-    fixpoint = report["benchmarks"].get("test_dense_fixpoint_speedup_10k")
-    convoy = report["benchmarks"].get("test_dense_convoy_checker_k4_vs_k1")
-    intern = report["benchmarks"].get("test_intern_throughput")
-    image = report["benchmarks"].get("test_predecessor_image_throughput")
-    if fixpoint is not None or convoy is not None:
-        report["dense"] = {
-            "have_numpy": (fixpoint or image or {}).get("have_numpy"),
-            "product_states": (fixpoint or {}).get("product_states"),
-            "dense_vs_dict_speedup_min": (fixpoint or {}).get("dense_vs_dict_speedup_min"),
-            "dense_vs_dict_speedup_median": (fixpoint or {}).get(
-                "dense_vs_dict_speedup_median"
-            ),
-            "speedup_floor": (fixpoint or {}).get("speedup_floor"),
-            "k4_vs_k1_best_paired": (convoy or {}).get("k4_vs_k1_best_paired"),
-            "k4_vs_k1_median_ratio": (convoy or {}).get("k4_vs_k1_median_ratio"),
-            "cold_states_per_second": (intern or {}).get("cold_states_per_second"),
-            "delta_states_per_second": (intern or {}).get("delta_states_per_second"),
-            "image_edges_per_second": (image or {}).get("image_edges_per_second"),
-        }
-    pbfs = report["benchmarks"].get("test_dense_product_bfs_vs_dict_k1")
-    pk4 = report["benchmarks"].get("test_dense_product_convoy_k4_vs_k1")
-    if pbfs is not None or pk4 is not None:
-        report["dense_product"] = {
-            "convoy_ticks": (pbfs or pk4 or {}).get("convoy_ticks"),
-            "warm_updates": (pbfs or pk4 or {}).get("warm_updates"),
-            "product_states": (pbfs or {}).get("product_states"),
-            "product_dense_states": (pbfs or {}).get("product_dense_states"),
-            "dense_vs_dict_best_paired": (pbfs or {}).get("dense_vs_dict_best_paired"),
-            "dense_vs_dict_median_ratio": (pbfs or {}).get("dense_vs_dict_median_ratio"),
-            "k4_vs_k1_best_paired": (pk4 or {}).get("k4_vs_k1_best_paired"),
-            "k4_vs_k1_median_ratio": (pk4 or {}).get("k4_vs_k1_median_ratio"),
         }
     robust = report["benchmarks"].get("test_robust_overhead_guard")
     if robust is not None:
@@ -217,30 +159,6 @@ def main(argv: list[str] | None = None) -> None:
         )
     else:
         print(f"wrote {args.output}")
-    sharded = report.get("sharded", {})
-    if sharded.get("k4_vs_k1_speedup_min") is not None:
-        print(
-            f"sharded: K=1 no-regression best-paired "
-            f"{sharded['k1_vs_sequential_best_paired']:.2f}x, "
-            f"K=4 vs K=1 {sharded['k4_vs_k1_speedup_min']:.2f}x (min) / "
-            f"{sharded['k4_vs_k1_speedup_median']:.2f}x (median)"
-        )
-    checker = report.get("checker_sharded", {})
-    if checker.get("k4_vs_k1_speedup_min") is not None:
-        print(
-            f"checker sharded: K=1 no-regression best-paired "
-            f"{checker['k1_vs_sequential_best_paired']:.2f}x, "
-            f"K=4 vs K=1 {checker['k4_vs_k1_speedup_min']:.2f}x (min) / "
-            f"{checker['k4_vs_k1_speedup_median']:.2f}x (median)"
-        )
-    dense = report.get("dense", {})
-    if dense.get("dense_vs_dict_speedup_min") is not None:
-        print(
-            f"dense: sequential fixpoints {dense['dense_vs_dict_speedup_min']:.2f}x (min) / "
-            f"{dense['dense_vs_dict_speedup_median']:.2f}x (median) over dict solvers "
-            f"(numpy={dense['have_numpy']}), convoy checker K=4 vs K=1 best-paired "
-            f"{dense['k4_vs_k1_best_paired']:.2f}x"
-        )
     robust = report.get("robust", {})
     if robust.get("robust_overhead_fraction") is not None:
         print(

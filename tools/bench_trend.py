@@ -43,12 +43,6 @@ TREND_SCHEMA = "repro.bench_trend/1"
 HIGHER_BETTER = (
     "headline.speedup_min",
     "headline.speedup_median",
-    "dense.dense_vs_dict_speedup_min",
-    "dense.k4_vs_k1_best_paired",
-    "dense_product.dense_vs_dict_best_paired",
-    "dense_product.k4_vs_k1_best_paired",
-    "checker_sharded.k1_vs_sequential_best_paired",
-    "checker_sharded.k4_vs_k1_speedup_min",
 )
 LOWER_BETTER = (
     "robust.robust_overhead_fraction",
@@ -162,13 +156,12 @@ def render_trend(points: list[dict], *, last: int = 6) -> str:
     shown = points[-last:]
     columns = (
         ("headline.speedup_min", "headline"),
-        ("dense.dense_vs_dict_speedup_min", "dense"),
-        ("dense_product.dense_vs_dict_best_paired", "product"),
+        ("headline.speedup_median", "median"),
         ("robust.robust_overhead_fraction", "robust%"),
         ("flight.null_flight_overhead_fraction", "flight%"),
     )
     lines = [
-        "{:<12} {:>9} {:>9} {:>9} {:>8} {:>8}".format(
+        "{:<12} {:>9} {:>9} {:>8} {:>8}".format(
             "revision", *(title for _, title in columns)
         )
     ]
@@ -183,7 +176,7 @@ def render_trend(points: list[dict], *, last: int = 6) -> str:
             else:
                 cells.append(f"{value:.2f}x")
         lines.append(
-            "{:<12} {:>9} {:>9} {:>9} {:>8} {:>8}".format(
+            "{:<12} {:>9} {:>9} {:>8} {:>8}".format(
                 str(point.get("revision", "?"))[:12], *cells
             )
         )

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Run the randomized conformance campaign (ROADMAP item 4).
+"""Run the randomized conformance campaign.
 
 Generates ``--count`` seeded scenarios with
 :func:`repro.testing.generate_scenario`, executes each through
 ``integrate()`` across the configuration matrix (incremental on/off,
-dense on/off, sharded K=4, mild fault injection), and asserts verdict
+mild fault injection on/off), and asserts verdict
 agreement with full-composition model checking — plus, on a subsample,
 with the §6 L*/BBC baselines::
 
     PYTHONPATH=src python tools/campaign.py --count 1000 --report out.json
     PYTHONPATH=src python tools/campaign.py --count 50 --profile tiny   # PR smoke
-    PYTHONPATH=src python tools/campaign.py --count 200 --matrix full   # 16 configs
+    PYTHONPATH=src python tools/campaign.py --count 200 --matrix full   # 4 configs
 
 Any disagreement is minimized by the delta-debugging shrinker and
 written as a repr-stable fixture into ``--fixtures-dir`` (default
@@ -100,13 +100,13 @@ def main(argv: "list[str] | None" = None) -> int:
         "--profile",
         choices=("default", "tiny"),
         default="default",
-        help="size envelope (default includes dense-floor-crossing scenarios)",
+        help="size envelope (default includes scenarios beyond 2048 product states)",
     )
     parser.add_argument(
         "--matrix",
         choices=("default", "full"),
         default="default",
-        help="default = one config per axis (6); full = 16-cell cross product",
+        help="default = one config per axis (3); full = 4-cell cross product",
     )
     parser.add_argument(
         "--baselines-every",

@@ -17,27 +17,6 @@ import inspect
 import pathlib
 import sys
 
-#: The deprecated surface: every shim that still works but warns.
-#: Each row is (what, replacement, removal version).  Keep in sync with
-#: the ``DeprecationWarning`` sites (grep for "removed in repro");
-#: ``tests/test_deprecation_policy.py`` pins the messages and the
-#: tier-1 no-shim filter.
-DEPRECATED = [
-    (
-        "`max_iterations=` / `counterexamples_per_iteration=` / `incremental=` / "
-        "`parallelism=` / `checker_parallelism=` keyword arguments to `integrate()`, "
-        "`IntegrationSynthesizer`, and `MultiLegacySynthesizer`",
-        "`settings=SynthesisSettings(...)`",
-        "repro 2.0",
-    ),
-    (
-        "`IterationRecord.shard_states_explored` / `.shard_handoffs` / "
-        "`.shard_merge_conflicts` (and the `MultiIterationRecord` twins)",
-        "the `product_shard_*` counters",
-        "repro 2.0",
-    ),
-]
-
 MODULES = [
     "repro",
     "repro.automata",
@@ -127,19 +106,6 @@ def main() -> int:
         "are documented in [performance.md](performance.md); the span tracer,",
         "metrics registry, and trace exporters in",
         "[observability.md](observability.md).",
-        "",
-        "## Deprecated surface",
-        "",
-        "These shims still work but emit `DeprecationWarning` naming the",
-        "removal version; the tier-1 suite runs with the shim warnings",
-        "escalated to errors, so nothing in-repo depends on them.",
-        "",
-        "| Deprecated | Use instead | Removed in |",
-        "| --- | --- | --- |",
-        *[
-            f"| {what} | {replacement} | {removal} |"
-            for what, replacement, removal in DEPRECATED
-        ],
         "",
     ]
     for name in MODULES:
