@@ -69,7 +69,13 @@ class WorkerPool:
             return [function(task) for task in tasks]
         return list(self._threads(workers).map(function, tasks))
 
-    def call(self, function: Callable[[], _R], *, timeout: float) -> _R:
+    def call(
+        self,
+        function: Callable[[], _R],
+        *,
+        timeout: float,
+        on_expiry: Callable[[], object] | None = None,
+    ) -> _R:
         """Run ``function`` on a pool thread under a wall-clock deadline.
 
         The robust test executor routes per-test deadlines through here
@@ -79,7 +85,9 @@ class WorkerPool:
         typically drives a live component, and letting a zombie thread
         keep stepping it would corrupt the next attempt.  Deadline
         enforcement is therefore only as hard as the function's own
-        stalls are finite (injected hangs always are).
+        stalls are finite (injected hangs always are), unless
+        ``on_expiry`` cuts the stall short: it runs at the deadline,
+        before the join (an out-of-process component's ``interrupt``).
         """
         self.stats["pool_deadline_calls"] += 1
         future = self._threads(1).submit(function)
@@ -87,6 +95,8 @@ class WorkerPool:
             return future.result(timeout=timeout)
         except FutureTimeoutError:
             self.stats["pool_deadline_timeouts"] += 1
+            if on_expiry is not None:
+                on_expiry()
             try:
                 future.result()  # join the straggler; discard its outcome
             except Exception:

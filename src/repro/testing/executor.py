@@ -115,7 +115,14 @@ def execute_test(component: LegacyComponent, testcase: TestCase, *, port: str = 
     Execution stops at the first divergence or blocking — the remainder
     of the counterexample is meaningless once the real component has
     left the predicted path.
+
+    A component that offers ``execute_in_host`` (an out-of-process
+    :class:`~repro.legacy.remote.RemoteComponent`) runs this very
+    function in its host and ships the outcome back in one frame.
     """
+    in_host = getattr(component, "execute_in_host", None)
+    if in_host is not None:
+        return in_host(testcase, port=port)
     component.reset()
     recorded: list[RecordedStep] = []
     verdict = TestVerdict.CONFIRMED

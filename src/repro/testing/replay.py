@@ -67,7 +67,14 @@ def replay(component: LegacyComponent, recording: Recording, *, port: str = "por
     blocked tail (Definition 2's deadlock-run shape) when the recorded
     execution ended in a refusal — carrying the outputs the original
     counterexample expected, which is what Definition 12 adds to ``T̄``.
+
+    A component that offers ``replay_in_host`` (an out-of-process
+    :class:`~repro.legacy.remote.RemoteComponent`) runs this very
+    function in its host and ships the observed run back in one frame.
     """
+    in_host = getattr(component, "replay_in_host", None)
+    if in_host is not None:
+        return in_host(recording, port=port)
     if recording.component != component.name:
         raise ReplayError(
             f"recording belongs to {recording.component!r}, not {component.name!r}"

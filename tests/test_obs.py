@@ -708,8 +708,11 @@ class TestCommandLine:
         new_path = str(tmp_path / "new.jsonl")
         write_trace(old_tracer, old_path)
         write_trace(new_tracer, new_path)
-        proc = self._trace_report("--diff", old_path, new_path, "--top", "5")
+        # List every span name: a --top cut would rank rows by timing.
+        names = {span.name for span in (*old_tracer.spans, *new_tracer.spans)}
+        proc = self._trace_report("--diff", old_path, new_path, "--top", str(len(names)))
         assert proc.returncode == 0, proc.stderr
+        assert "more span name(s)" not in proc.stdout
         assert "delta ms" in proc.stdout
         assert "net self-time delta" in proc.stdout
         assert "checker.check" in proc.stdout

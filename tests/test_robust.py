@@ -744,3 +744,23 @@ def test_worker_pool_map_preserves_order():
         assert pool.stats["pool_inline_calls"] == 1
     finally:
         pool.shutdown()
+
+
+def test_worker_pool_call_runs_on_expiry_before_joining_the_straggler():
+    import threading
+    import time
+
+    from repro.errors import TestTimeoutError
+
+    released = threading.Event()
+    pool = WorkerPool()
+    try:
+        start = time.monotonic()
+        with pytest.raises(TestTimeoutError, match="deadline"):
+            # Without on_expiry the join would wait out the 30 s stall.
+            pool.call(lambda: released.wait(30), timeout=0.05, on_expiry=released.set)
+        assert time.monotonic() - start < 10.0
+        assert pool.stats["pool_deadline_timeouts"] == 1
+    finally:
+        released.set()
+        pool.shutdown()
