@@ -50,7 +50,6 @@ from .refinement import (
     simulation_relation,
 )
 from .runs import Run, Trace, enumerate_runs, enumerate_traces, run_of_transitions
-from .sharding import WorkerPool, get_pool
 from .transform import complete, hide, minimize, pad_states, rename_signals, restrict
 
 __all__ = [
@@ -98,8 +97,6 @@ __all__ = [
     "IncrementalVerifier",
     "ProductUpdate",
     "VerificationStep",
-    "WorkerPool",
-    "get_pool",
     "is_chaos_state",
     "closure_base_state",
     "run_stays_in_learned_part",

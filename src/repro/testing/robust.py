@@ -8,9 +8,8 @@ and :func:`repro.testing.replay.replay` with a :class:`RetryPolicy`:
   state, so retry schedules are reproducible);
 * a per-step deadline (cooperative: each step's wall time is checked
   after it returns, which deterministically catches injected hangs) and
-  a per-test deadline enforced through the existing
-  :class:`~repro.automata.sharding.WorkerPool`
-  (:meth:`~repro.automata.sharding.WorkerPool.call`);
+  a per-test deadline enforced on a deadline thread
+  (:meth:`WorkerPool.call`);
 * recording validation before the result is trusted: when faults are
   possible, every completed live execution is replayed and a
   :class:`~repro.errors.ReplayError` divergence triggers re-record /
@@ -31,15 +30,17 @@ attribute reads per test — pinned ≤5% of loop time by
 
 from __future__ import annotations
 
+import atexit
 import os
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
 from ..automata.runs import Run
-from ..automata.sharding import WorkerPool, get_pool
 from ..errors import (
     ExecutionError,
     FaultInjectionError,
@@ -97,7 +98,7 @@ class RetryPolicy:
         step returns), or ``None`` for no step deadline.
     test_timeout:
         Per-test wall-clock deadline in seconds, enforced via
-        :meth:`repro.automata.sharding.WorkerPool.call`, or ``None``.
+        :meth:`WorkerPool.call`, or ``None``.
     validate:
         Replay-validate every completed execution before trusting its
         verdict.  ``None`` (default) auto-enables validation exactly
@@ -295,6 +296,68 @@ class Quarantine:
         return tuple(self.pending) + tuple(self.expired)
 
 
+class WorkerPool:
+    """The deadline thread of per-test wall-clock limits.
+
+    One supervised execution runs at a time, so one lazily started
+    worker suffices; it is reused, so repeated tests never pay thread
+    start-up twice.
+    """
+
+    def __init__(self) -> None:
+        self._executor: ThreadPoolExecutor | None = None
+        self.stats: dict[str, int] = {
+            "pool_executor_creations": 0,
+            "pool_deadline_calls": 0,
+            "pool_deadline_timeouts": 0,
+        }
+
+    def call(self, function, *, timeout: float, on_expiry=None):
+        """Run ``function`` on the deadline thread under a wall-clock limit.
+
+        On expiry the straggler is *joined* — never abandoned — before
+        :class:`~repro.errors.TestTimeoutError` is raised: the function
+        typically drives a live component, and letting a zombie thread
+        keep stepping it would corrupt the next attempt.  Deadline
+        enforcement is therefore only as hard as the function's own
+        stalls are finite (injected hangs always are), unless
+        ``on_expiry`` cuts the stall short: it runs at the deadline,
+        before the join (an out-of-process component's ``interrupt``).
+        """
+        self.stats["pool_deadline_calls"] += 1
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-pool")
+            self.stats["pool_executor_creations"] += 1
+        future = self._executor.submit(function)
+        try:
+            return future.result(timeout=timeout)
+        except FutureTimeoutError:
+            self.stats["pool_deadline_timeouts"] += 1
+            if on_expiry is not None:
+                on_expiry()
+            try:
+                future.result()  # join the straggler; discard its outcome
+            except Exception:
+                pass
+            raise TestTimeoutError(
+                f"test execution exceeded its {timeout:.3f}s deadline"
+            ) from None
+
+    def publish_to(self, registry) -> None:
+        """Snapshot the counters into a metrics registry (gauge semantics)."""
+        registry.absorb(self.stats)
+
+    def shutdown(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = None
+
+
+#: The process-wide deadline thread shared by every executor.
+_POOL = WorkerPool()
+atexit.register(_POOL.shutdown)
+
+
 class RobustExecutor:
     """Supervises live executions and validation replays under a policy.
 
@@ -340,7 +403,7 @@ class RobustExecutor:
 
     @property
     def pool(self) -> WorkerPool:
-        return self._pool if self._pool is not None else get_pool()
+        return self._pool if self._pool is not None else _POOL
 
     @staticmethod
     def _fault_scope(component):

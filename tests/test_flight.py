@@ -30,7 +30,7 @@ from repro.obs import (
     resolve_flight_recorder,
 )
 from repro.obs.flight import BLACKBOX_SCHEMA, environment_fingerprint, settings_fingerprint
-from repro.synthesis import IntegrationSynthesizer, SynthesisSettings, Verdict
+from repro.synthesis import IntegrationSynthesizer, MultiLegacySynthesizer, SynthesisSettings, Verdict
 from repro.testing import FaultProfile, RetryPolicy
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -43,6 +43,20 @@ def _synthesizer(settings: SynthesisSettings) -> IntegrationSynthesizer:
         railcab.PATTERN_CONSTRAINT,
         labeler=railcab.rear_state_labeler,
         port="rearRole",
+        settings=settings,
+    )
+
+
+def _multi_synthesizer(settings: SynthesisSettings) -> MultiLegacySynthesizer:
+    """The two-legacy convoy."""
+    return MultiLegacySynthesizer(
+        None,
+        [railcab.correct_front_shuttle(), railcab.correct_rear_shuttle(convoy_ticks=1)],
+        railcab.PATTERN_CONSTRAINT,
+        labelers={
+            "frontShuttle": railcab.front_state_labeler,
+            "rearShuttle": railcab.rear_state_labeler,
+        },
         settings=settings,
     )
 
@@ -186,9 +200,10 @@ class TestLoopIntegration:
         assert recorder.dumps == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_chaos_run_dumps_a_replayable_blackbox(self, tmp_path):
+    @pytest.mark.parametrize("build", [_synthesizer, _multi_synthesizer], ids=["single", "multi"])
+    def test_chaos_run_dumps_a_replayable_blackbox(self, tmp_path, build):
         recorder = FlightRecorder(tmp_path)
-        result = _synthesizer(_chaos_settings(recorder)).run()
+        result = build(_chaos_settings(recorder)).run()
         assert result.verdict is Verdict.BUDGET_EXCEEDED
         assert recorder.dumps > 0
         dump = json.loads((tmp_path / "blackbox.json").read_text())

@@ -7,7 +7,7 @@ from repro.automata import Automaton, Interaction
 from repro.legacy import LegacyComponent
 from repro.logic import parse
 from repro.synthesis import MultiLegacySynthesizer
-from repro.synthesis.multi import _MultiScratch
+from repro.synthesis.driver import _IterationScratch as _MultiScratch
 from repro.testing import TestCase
 
 

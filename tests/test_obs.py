@@ -41,7 +41,7 @@ from repro.obs import (
     span_line,
     write_trace,
 )
-from repro.synthesis import IntegrationSynthesizer, SynthesisSettings, Verdict
+from repro.synthesis import IntegrationSynthesizer, MultiLegacySynthesizer, SynthesisSettings, Verdict
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -88,6 +88,30 @@ def _traced_run(ticks: int = 1, **settings_kwargs):
         settings=SynthesisSettings(tracer=tracer, **settings_kwargs),
     ).run()
     return tracer, result
+
+
+def _traced_multi_run():
+    """The two-legacy convoy, traced (the multi-legacy loop's twin)."""
+    tracer = Tracer()
+    result = MultiLegacySynthesizer(
+        None,
+        [railcab.correct_front_shuttle(), railcab.correct_rear_shuttle()],
+        railcab.PATTERN_CONSTRAINT,
+        labelers={
+            "frontShuttle": railcab.front_state_labeler,
+            "rearShuttle": railcab.rear_state_labeler,
+        },
+        settings=SynthesisSettings(tracer=tracer),
+    ).run()
+    return tracer, result
+
+
+#: Both synthesizers emit one vocabulary: ``(traced run, synthesizer name)``.
+BOTH_LOOPS = pytest.mark.parametrize(
+    "traced_run, synthesizer",
+    [(_traced_run, "IntegrationSynthesizer"), (_traced_multi_run, "MultiLegacySynthesizer")],
+    ids=["single", "multi"],
+)
 
 
 # ---------------------------------------------------------------- metrics
@@ -355,17 +379,19 @@ class TestLoopSpanContract:
             "fault.inject",
         }
 
-    def test_loop_run_and_iteration_args(self):
-        tracer, result = _traced_run()
+    @BOTH_LOOPS
+    def test_loop_run_and_iteration_args(self, traced_run, synthesizer):
+        tracer, result = traced_run()
         run_span = next(s for s in tracer.spans if s.name == "loop.run")
-        assert run_span.args == {"synthesizer": "IntegrationSynthesizer"}
+        assert run_span.args == {"synthesizer": synthesizer}
         indices = [
             s.args["index"] for s in tracer.spans if s.name == "loop.iteration"
         ]
         assert sorted(indices) == list(range(result.iteration_count))
 
-    def test_loop_metrics_contract(self):
-        tracer, result = _traced_run()
+    @BOTH_LOOPS
+    def test_loop_metrics_contract(self, traced_run, synthesizer):
+        tracer, result = traced_run()
         snapshot = tracer.metrics.as_dict()
         assert LOOP_COUNTER_NAMES <= set(snapshot["counters"])
         assert snapshot["counters"]["loop_iterations"] == result.iteration_count
@@ -387,17 +413,7 @@ class TestLoopSpanContract:
         )
 
     def test_multi_legacy_span_names(self):
-        tracer = Tracer()
-        result = __import__("repro.synthesis.multi", fromlist=["MultiLegacySynthesizer"]).MultiLegacySynthesizer(
-            None,
-            [railcab.correct_front_shuttle(), railcab.correct_rear_shuttle()],
-            railcab.PATTERN_CONSTRAINT,
-            labelers={
-                "frontShuttle": railcab.front_state_labeler,
-                "rearShuttle": railcab.rear_state_labeler,
-            },
-            settings=SynthesisSettings(tracer=tracer),
-        ).run()
+        tracer, result = _traced_multi_run()
         assert result.verdict is Verdict.PROVEN
         run_span = next(s for s in tracer.spans if s.name == "loop.run")
         assert run_span.args == {"synthesizer": "MultiLegacySynthesizer"}

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro import railcab
-from repro.automata import Automaton, Interaction, Run, WorkerPool
+from repro.automata import Automaton, Interaction, Run
 from repro.errors import (
     FaultInjectionError,
     ModelError,
@@ -40,7 +40,7 @@ from repro.testing import (
 )
 from repro.testing import test_case_from_trace as case_from_trace
 from repro.testing.faults import FAULT_SEED_ENV
-from repro.testing.robust import TEST_RETRIES_ENV
+from repro.testing.robust import TEST_RETRIES_ENV, WorkerPool
 
 PING = Interaction(["ping"], None)
 PONG = Interaction(None, ["pong"])
@@ -733,17 +733,6 @@ class TestRealDeadlinePreemption:
             budget = policy.max_attempts * policy.record_rounds + 2
             assert elapsed < profile.hang_seconds
             assert elapsed < budget * (deadline + 5.0)
-
-
-def test_worker_pool_map_preserves_order():
-    pool = WorkerPool()
-    try:
-        tasks = list(range(20))
-        assert pool.map(lambda x: x * x, tasks, workers=4) == [x * x for x in tasks]
-        assert pool.map(lambda x: -x, tasks[:1], workers=4) == [0]
-        assert pool.stats["pool_inline_calls"] == 1
-    finally:
-        pool.shutdown()
 
 
 def test_worker_pool_call_runs_on_expiry_before_joining_the_straggler():

@@ -20,6 +20,9 @@ import pathlib
 
 import pytest
 
+from repro.logic.formulas import conjunction
+from repro.obs.flight import NULL_FLIGHT_RECORDER
+from repro.synthesis.multi import MultiLegacySynthesizer
 from repro.synthesis.settings import SynthesisSettings
 from repro.testing import (
     CampaignConfig,
@@ -75,7 +78,8 @@ def test_bbc_false_alarm_fixture_stays_explained():
         assert rows[slot_name]["lstar"] == "proven"
 
 
-def test_chaos_silent_reset_fixture_degrades_soundly():
+@pytest.mark.parametrize("synthesizer", ["single", "multi"])
+def test_chaos_silent_reset_fixture_degrades_soundly(synthesizer):
     payload = load(
         pathlib.Path(__file__).parent
         / "fixtures"
@@ -86,13 +90,26 @@ def test_chaos_silent_reset_fixture_degrades_soundly():
     allowed = set(payload["expect"]["chaos_mild_verdict"])
     # Before the fix this crashed with SynthesisError ("no learning
     # progress ... contradicts §4.4"); a silent crash-reset inside the
-    # 200-step output-free idle trace must instead degrade soundly.
-    fault_seed = payload["expect"]["fault_seeds"][0]
-    config = CampaignConfig(
-        "chaos-mild",
-        SynthesisSettings(fault_profile=FaultProfile.mild(fault_seed)),
-    )
-    verdicts = run_scenario(scenario, config.settings)
-    assert verdicts["slot0"] in allowed, verdicts
-    evaluation = evaluate_scenario(scenario, (config,))
-    assert evaluation.ok, evaluation.disagreements
+    # 200-step output-free idle trace must instead degrade soundly —
+    # in both synthesizers, which share one zero-progress rule.
+    for fault_seed in payload["expect"]["fault_seeds"]:
+        # No blackbox: it would rewrite a multi-megabyte dump at each of
+        # these runs' many anomalies, and a failure replays from its seed.
+        settings = SynthesisSettings(
+            fault_profile=FaultProfile.mild(fault_seed), flight_recorder=NULL_FLIGHT_RECORDER
+        )
+        if synthesizer == "multi":
+            (name,) = scenario.architecture.legacy_placements
+            extraction = scenario.architecture.context_for(name)
+            result = MultiLegacySynthesizer(
+                extraction.context,
+                [scenario.components[name]],
+                conjunction(list(extraction.constraints)),
+                settings=settings,
+            ).run()
+            assert result.verdict.value in allowed, (fault_seed, result.verdict)
+            continue
+        verdicts = run_scenario(scenario, settings)
+        assert verdicts["slot0"] in allowed, (fault_seed, verdicts)
+        evaluation = evaluate_scenario(scenario, (CampaignConfig("chaos-mild", settings),))
+        assert evaluation.ok, (fault_seed, evaluation.disagreements)
