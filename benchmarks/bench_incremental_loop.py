@@ -22,8 +22,8 @@ The ``robust_overhead`` guard applies the same accounting to the
 fault-tolerant test supervisor (``repro.testing.robust``): the
 fault-free supervised path must stay within 5% of loop time.  The
 ``flight_recorder_overhead`` guard does it once more for the progress
-/ flight-recorder event sites: un-armed (the empty
-``ProgressEmitter``) below 1%, an armed in-memory ring below 5%.  The
+/ flight-recorder event sites: un-armed (``NULL_TRACER.event``) below
+1%, a stream whose sink is an armed in-memory ring below 5%.  The
 ``remote_overhead`` guard pins the out-of-process boundary
 (``repro.legacy.remote``): a warm host's per-step frame round-trip
 must cost under 5ms over the in-process step, and a warm
@@ -36,12 +36,13 @@ must cost under 5ms over the in-process step, and a warm
 from __future__ import annotations
 
 import os
+import shutil
 import statistics
 import tempfile
 import time
 
 from repro import railcab
-from repro.obs import NULL_TRACER, Tracer, span_line
+from repro.obs import NULL_TRACER, TraceFile, Tracer
 from repro.synthesis import IntegrationSynthesizer, SynthesisSettings, Verdict
 from repro.synthesis.multi import MultiLegacySynthesizer
 
@@ -59,7 +60,6 @@ def _convoy_synthesizer(
     incremental: bool,
     ticks: int,
     tracer=None,
-    flight=None,
 ) -> IntegrationSynthesizer:
     return IntegrationSynthesizer(
         railcab.front_role_automaton(),
@@ -67,11 +67,7 @@ def _convoy_synthesizer(
         railcab.PATTERN_CONSTRAINT,
         labeler=railcab.rear_state_labeler,
         port="rearRole",
-        settings=SynthesisSettings(
-            incremental=incremental,
-            tracer=tracer,
-            flight_recorder=flight,
-        ),
+        settings=SynthesisSettings(incremental=incremental, tracer=tracer),
     )
 
 
@@ -200,9 +196,9 @@ def test_tracing_overhead_guard(benchmark):
     span enter/exit in that mode, and bound their product as a fraction
     of the (null-traced) loop time.  The ``NullTracer`` cycle — shared
     no-op handle, no allocation — must stay below 1%; the active cycle
-    with the live JSONL-streaming sink (the ``REPRO_TRACE``
-    configuration: every span serialized through :func:`span_line` and
-    written to a real file handle) must stay below 10%.
+    of a stream with a JSONL :class:`TraceFile` sink (the ``REPRO_TRACE``
+    configuration: every span folded into the metrics, serialized and
+    written to a real file) must stay below 10%.
 
     The end-to-end paired null-vs-streaming loop times are recorded in
     ``BENCH_loop.json`` alongside, but only sanity-bounded, not gated at the ceiling: on a shared runner
@@ -214,15 +210,8 @@ def test_tracing_overhead_guard(benchmark):
         null_times: list[float] = []
         jsonl_times: list[float] = []
         results = {}
-        span_count = [0]
-        handle = tempfile.NamedTemporaryFile(
-            "w", suffix=".jsonl", delete=False, encoding="utf-8"
-        )
-
-        def sink(span):
-            span_count[0] += 1
-            handle.write(span_line(span) + "\n")
-
+        directory = tempfile.mkdtemp()
+        path = os.path.join(directory, "trace.jsonl")
         try:
             for round_index in range(5):
                 t0 = time.perf_counter()
@@ -230,13 +219,15 @@ def test_tracing_overhead_guard(benchmark):
                     incremental=True, ticks=SPEEDUP_TICKS, tracer=NULL_TRACER
                 ).run()
                 null_times.append(time.perf_counter() - t0)
-                span_count[0] = 0
+                stream = Tracer(TraceFile(path))
                 t0 = time.perf_counter()
                 results["jsonl"] = _convoy_synthesizer(
-                    incremental=True, ticks=SPEEDUP_TICKS, tracer=Tracer(sink=sink)
+                    incremental=True, ticks=SPEEDUP_TICKS, tracer=stream
                 ).run()
                 jsonl_times.append(time.perf_counter() - t0)
-            spans_per_run = span_count[0]
+                stream.close()
+            with open(path, encoding="utf-8") as handle:
+                spans_per_run = sum('"type":"span"' in line for line in handle)
 
             # Per-span costs in both modes, with representative args —
             # best of three timed blocks each, so a single GC pause or
@@ -250,7 +241,7 @@ def test_tracing_overhead_guard(benchmark):
                         pass
                 return (time.perf_counter() - t0) / cycles
 
-            active = Tracer(sink=sink)
+            active = Tracer(TraceFile(os.path.join(directory, "probe.jsonl")))
 
             def time_active() -> float:
                 t0 = time.perf_counter()
@@ -261,9 +252,9 @@ def test_tracing_overhead_guard(benchmark):
 
             per_null_call = _best_of(time_null)
             per_active_call = _best_of(time_active)
+            active.close()
         finally:
-            handle.close()
-            os.unlink(handle.name)
+            shutil.rmtree(directory)
         return results, null_times, jsonl_times, spans_per_run, per_null_call, per_active_call
 
     # Best-of-N with one retry: a loaded CI runner can blow any single
@@ -338,14 +329,14 @@ def test_flight_recorder_overhead_guard(benchmark):
     Like the tracing guard: the progress/flight event sites live
     permanently in the loop, so the un-armed cost is bounded by
     accounting — count the events an armed run records, microbenchmark
-    one emit through an empty :class:`ProgressEmitter` (the exact
-    no-consumer path every site takes by default), and pin the product
-    below 1% of loop time.  An armed in-memory ring
-    (:class:`FlightRecorder` without a directory — the ``--blackbox``
-    configuration between anomalies) is bounded the same way at 5%,
+    one ``NULL_TRACER.event`` (the exact no-sink path every site takes
+    by default), and pin the product below 1% of loop time.  A stream
+    whose sink is an armed in-memory ring (:class:`FlightRecorder`
+    without a directory — the ``--blackbox`` configuration between
+    anomalies) is bounded the same way at 5%,
     with the paired end-to-end ratio recorded and only sanity-bounded.
     """
-    from repro.obs import FlightRecorder, ProgressEmitter
+    from repro.obs import FlightRecorder
 
     def measure():
         null_times: list[float] = []
@@ -361,27 +352,25 @@ def test_flight_recorder_overhead_guard(benchmark):
             recorder = FlightRecorder(capacity=256)
             t0 = time.perf_counter()
             results["active"] = _convoy_synthesizer(
-                incremental=True, ticks=SPEEDUP_TICKS, flight=recorder
+                incremental=True, ticks=SPEEDUP_TICKS, tracer=Tracer(recorder)
             ).run()
             active_times.append(time.perf_counter() - t0)
-            events_per_run = recorder._seq
+            events_per_run = recorder._recorded
 
         cycles = 100_000
-        idle = ProgressEmitter()
 
         def time_null() -> float:
             t0 = time.perf_counter()
             for _ in range(cycles):
-                idle.emit("overhead.probe", iteration=1, tests_executed=3)
+                NULL_TRACER.event("overhead.probe", iteration=1, tests_executed=3)
             return (time.perf_counter() - t0) / cycles
 
-        ring = FlightRecorder(capacity=256)
-        armed = ProgressEmitter(ring)
+        armed = Tracer(FlightRecorder(capacity=256))
 
         def time_active() -> float:
             t0 = time.perf_counter()
             for _ in range(cycles):
-                armed.emit("overhead.probe", iteration=1, tests_executed=3)
+                armed.event("overhead.probe", iteration=1, tests_executed=3)
             return (time.perf_counter() - t0) / cycles
 
         per_null_emit = _best_of(time_null)

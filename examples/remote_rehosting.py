@@ -30,7 +30,7 @@ import signal
 from repro import railcab
 from repro.errors import TestTimeoutError
 from repro.legacy.remote import InstancePool, RemotePolicy, rehost
-from repro.obs import CallbackProgressSink
+from repro.obs import CallbackProgressSink, Tracer, env_sinks
 from repro.synthesis import IntegrationSynthesizer, SynthesisSettings, Verdict, summarize
 from repro.testing import FaultKind, FaultProfile
 
@@ -96,8 +96,10 @@ def main() -> None:
                 print(f"SIGKILL host pid {pid} at iteration 2")
                 os.kill(pid, signal.SIGKILL)
 
+    # An explicit stream is used exactly as given, so it adds the sinks
+    # of $REPRO_TRACE/$REPRO_BLACKBOX itself to keep them for this run.
     chaos_loop = convoy_synthesizer(
-        SynthesisSettings(remote=True, progress=CallbackProgressSink(killer))
+        SynthesisSettings(remote=True, tracer=Tracer(CallbackProgressSink(killer), *env_sinks()))
     )
     state["synth"] = chaos_loop
     survived = chaos_loop.run()

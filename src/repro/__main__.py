@@ -32,32 +32,25 @@ def _settings(args: argparse.Namespace) -> SynthesisSettings:
     """The one place CLI flags (and their env fallbacks) become settings.
 
     Flags left at their defaults defer to the environment knobs
-    (``REPRO_TRACE``, ``REPRO_TEST_RETRIES``, ``REPRO_FAULT_SEED``,
-    ``REPRO_REMOTE``) inside :class:`SynthesisSettings` resolution.
+    (``REPRO_TRACE``, ``REPRO_BLACKBOX``, ``REPRO_TEST_RETRIES``,
+    ``REPRO_FAULT_SEED``, ``REPRO_REMOTE``) inside
+    :class:`SynthesisSettings` resolution.
     """
     tracer = None
     trace_path = getattr(args, "trace", None)
-    if trace_path:
-        from .obs import Tracer
-
-        # An explicit --trace wins over REPRO_TRACE: the flag builds its
-        # own tracer and _export_trace writes it where the flag said.
-        tracer = Tracer()
-        args._tracer = tracer
-    flight = None
     blackbox_dir = getattr(args, "blackbox", None)
-    if blackbox_dir:
-        from .obs import FlightRecorder
+    if trace_path or blackbox_dir or getattr(args, "progress", False):
+        from .obs import FlightRecorder, TraceFile, Tracer, TtyProgressSink, env_sinks
 
-        # Like --trace, an explicit --blackbox wins over REPRO_BLACKBOX.
-        flight = FlightRecorder(blackbox_dir)
-        args._flight = flight
-    progress = None
-    if getattr(args, "progress", False):
-        from .obs import TtyProgressSink
-
-        progress = TtyProgressSink()
-        args._progress = progress
+        # Each flag wins over its variable; the variables still supply
+        # the sinks no flag asked for.
+        tracer = Tracer(
+            TraceFile(trace_path, format=args.trace_format) if trace_path else None,
+            FlightRecorder(blackbox_dir) if blackbox_dir else None,
+            TtyProgressSink() if args.progress else None,
+            *env_sinks(trace=not trace_path, blackbox=not blackbox_dir),
+        )
+        args._tracer = tracer
     retry_policy = None
     test_retries = getattr(args, "test_retries", None)
     test_timeout = getattr(args, "test_timeout", None)
@@ -93,25 +86,20 @@ def _settings(args: argparse.Namespace) -> SynthesisSettings:
         fault_profile=fault_profile,
         remote=remote,
         tracer=tracer,
-        flight_recorder=flight,
-        progress=progress,
     )
 
 
 def _export_trace(args: argparse.Namespace) -> None:
-    """Flush observability outputs: progress line, trace, blackbox note."""
-    progress = getattr(args, "_progress", None)
-    if progress is not None:
-        progress.close()
+    """Close the CLI's stream: end the progress line, write the trace."""
     tracer = getattr(args, "_tracer", None)
-    if tracer is not None:
-        from .obs import write_trace
-
-        write_trace(tracer, args.trace, format=args.trace_format)
+    if tracer is None:
+        return
+    tracer.close()
+    if args.trace:
         print(f"\ntrace ({args.trace_format}) written to {args.trace}")
-    flight = getattr(args, "_flight", None)
-    if flight is not None and flight.last_path is not None:
-        print(f"blackbox dumped to {flight.last_path} ({flight.dumps} anomalies)")
+    for sink in tracer.sinks:
+        if getattr(sink, "last_path", None) is not None:
+            print(f"blackbox dumped to {sink.last_path} ({sink.dumps} anomalies)")
 
 
 def _add_loop_flags(parser: argparse.ArgumentParser) -> None:

@@ -64,10 +64,11 @@ crashes exactly like injected ones (Lemma 6 preserved):
   host is killed and :class:`~repro.errors.RemoteProtocolError` is
   raised.
 
-Every kill, respawn, and protocol violation emits a ``component.*``
-progress event, a tracer span, and a flight-recorder anomaly (blackbox
-dump).  A dead host respawns lazily on the next use, replaying the
-proxy's instrumentation and arming scopes first.
+Every kill, respawn, and protocol violation is published on the
+tracer: a ``component.*`` span and event, and (kills and respawns) an
+anomaly that makes a flight recorder dump its blackbox.  A dead host
+respawns lazily on the next use, replaying the proxy's instrumentation
+and arming scopes first.
 
 :class:`InstancePool` keeps a bounded set of pre-forked warm hosts with
 health-checked reuse, so workloads that need a fresh instance per run
@@ -92,6 +93,7 @@ from collections.abc import Iterable
 from itertools import takewhile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from ..errors import (
@@ -888,10 +890,7 @@ class RemoteComponent:
         payload: dict | None = None,
         policy: RemotePolicy | None = None,
         tracer=None,
-        flight=None,
-        events=None,
     ):
-        from ..obs.flight import resolve_flight_recorder
         from ..obs.tracer import resolve_tracer
 
         if (spec is None) == (payload is None):
@@ -900,8 +899,6 @@ class RemoteComponent:
         self._payload = payload
         self.policy = policy if policy is not None else RemotePolicy()
         self._tracer = resolve_tracer(tracer)
-        self._flight = resolve_flight_recorder(flight)
-        self._events = events
         self._lock = threading.RLock()
         self._process: subprocess.Popen | None = None
         self._channel: FrameChannel | None = None
@@ -926,12 +923,6 @@ class RemoteComponent:
         self._launch(respawn=False)
 
     # ------------------------------------------------------------ lifecycle
-
-    def _notify(self, name: str, **payload) -> None:
-        if self._events is not None:
-            self._events(name, **payload)
-        elif self._flight.enabled:
-            self._flight.record(name, **payload)
 
     def _spawn_process(self) -> None:
         command = [sys.executable, "-m", "repro.legacy.remote", "--serve", self._spec or "-"]
@@ -986,11 +977,11 @@ class RemoteComponent:
             for _ in range(self._armed_depth if self._fault_active else 0):
                 self._request({"op": "arm"}, timeout=self.policy.step_deadline)
             self.remote_stats["component_respawns"] += 1
-            self._notify("component.respawn", component=str(self.name), pid=self.pid)
-            self._flight.anomaly("remote_respawn", component=str(self.name), pid=self.pid)
+            self._tracer.event("component.respawn", component=str(self.name), pid=self.pid)
+            self._tracer.anomaly("remote_respawn", component=str(self.name), pid=self.pid)
         else:
             self.remote_stats["component_spawns"] += 1
-            self._notify("component.spawn", component=str(self.name), pid=self.pid)
+            self._tracer.event("component.spawn", component=str(self.name), pid=self.pid)
         self._death_reported = False
 
     def _reap(self) -> None:
@@ -1013,19 +1004,26 @@ class RemoteComponent:
     def _kill(self, reason: str, **context) -> None:
         """SIGKILL the host (if alive), reap it, and record the anomaly."""
         process = self._process
-        alive = process is not None and process.poll() is None
-        if alive:
-            with self._tracer.span("component.kill", component=str(self.name), reason=reason):
-                try:
-                    process.kill()
-                except OSError:  # pragma: no cover - raced with exit
-                    pass
-            self.remote_stats["component_kills"] += 1
-            self._notify("component.kill", component=str(self.name), reason=reason)
-            self._flight.anomaly(
-                "remote_kill", component=str(self.name), reason=reason, **context
-            )
+        if process is not None and process.poll() is None:
+            self._publish_kill(process.kill, reason, **context)
         self._reap()
+
+    def _publish_kill(self, kill, reason: str, **context) -> bool:
+        """SIGKILL the host via ``kill`` and publish it once.
+
+        One ``component.kill`` span, event and ``remote_kill`` anomaly;
+        ``False`` (nothing published) when the host had already exited.
+        """
+        name = str(self.name)
+        with self._tracer.span("component.kill", component=name, reason=reason):
+            try:
+                kill()
+            except OSError:  # pragma: no cover - raced with exit
+                return False
+        self.remote_stats["component_kills"] += 1
+        self._tracer.event("component.kill", component=name, reason=reason)
+        self._tracer.anomaly("remote_kill", component=name, reason=reason, **context)
+        return True
 
     def interrupt(self, reason: str = "test-deadline") -> None:
         """Hard-kill the host from *outside* the proxy's lock.
@@ -1037,17 +1035,9 @@ class RemoteComponent:
         instead of abandoning a thread.
         """
         process = self._process
-        if process is None or process.poll() is not None:
-            return
-        with self._tracer.span("component.kill", component=str(self.name), reason=reason):
-            try:
-                os.kill(process.pid, signal.SIGKILL)
-            except OSError:  # pragma: no cover - raced with exit
-                return
-        self.remote_stats["component_kills"] += 1
-        self._death_reported = True
-        self._notify("component.kill", component=str(self.name), reason=reason)
-        self._flight.anomaly("remote_kill", component=str(self.name), reason=reason)
+        if process is not None and process.poll() is None:
+            if self._publish_kill(partial(os.kill, process.pid, signal.SIGKILL), reason):
+                self._death_reported = True
 
     def close(self) -> None:
         """Shut the host down (politely, then by force) and seal the proxy."""
@@ -1138,11 +1128,8 @@ class RemoteComponent:
             raise TestTimeoutError(message) from None
         except RemoteCrashError as error:
             exit_code = self._process.poll() if self._process is not None else None
-            self._flight.anomaly(
-                "remote_crash",
-                component=str(self.name),
-                op=op,
-                exit_code=exit_code,
+            self._tracer.anomaly(
+                "remote_crash", component=str(self.name), op=op, exit_code=exit_code
             )
             self._reap()
             self._death_reported = True
@@ -1174,7 +1161,7 @@ class RemoteComponent:
         Not retryable: the death is reported by the raise, so the next
         use respawns quietly.
         """
-        self._notify("component.violation", component=str(self.name), op=op)
+        self._tracer.event("component.violation", component=str(self.name), op=op)
         self._kill("protocol-violation", op=op, detail=detail)
         self._death_reported = True
         return RemoteProtocolError(detail)
@@ -1464,8 +1451,6 @@ class InstancePool:
         policy: RemotePolicy | None = None,
         fault_profile=None,
         tracer=None,
-        flight=None,
-        events=None,
     ):
         self.policy = policy if policy is not None else RemotePolicy()
         self.size = size if size is not None else self.policy.pool_size
@@ -1483,8 +1468,6 @@ class InstancePool:
             self._spec = None
             self._payload = rehost_payload(source, fault_profile)
         self._tracer = tracer
-        self._flight = flight
-        self._events = events
         self._lock = threading.Lock()
         self._closed = False
         self._leased: set[RemoteComponent] = set()
@@ -1501,8 +1484,6 @@ class InstancePool:
             payload=self._payload,
             policy=self.policy,
             tracer=self._tracer,
-            flight=self._flight,
-            events=self._events,
         )
 
     def acquire(self) -> RemoteComponent:
@@ -1642,8 +1623,6 @@ def rehost(
     *,
     fault_profile=None,
     tracer=None,
-    flight=None,
-    events=None,
 ) -> RemoteComponent:
     """Wrap an in-process component as a supervised subprocess.
 
@@ -1657,8 +1636,6 @@ def rehost(
         payload=rehost_payload(component, fault_profile),
         policy=policy,
         tracer=tracer,
-        flight=flight,
-        events=events,
     )
 
 

@@ -1,25 +1,26 @@
-"""Observability for the verify → test → learn loop.
+"""Observability for the verify → test → learn loop: one stream, many sinks.
 
-``repro.obs`` packages three pieces that work together:
+:class:`Tracer` (:mod:`repro.obs.tracer`) is the one stream: spans,
+sequenced progress events and anomalies are published through it, and
+every other piece is a sink on it:
 
-* :mod:`repro.obs.tracer` — hierarchical span tracing with a
-  zero-overhead :data:`NULL_TRACER` default and ``REPRO_TRACE``
-  environment activation;
 * :mod:`repro.obs.metrics` — deterministic counters, gauges, and
-  fixed-bucket histograms, plus the canonical ``product_*`` /
-  ``checker_*`` counter plumbing shared with the reports;
-* :mod:`repro.obs.export` — JSONL and Chrome trace-event exporters,
-  the self-time fold (and fold diff) behind ``tools/trace_report.py``,
-  and the plain-text per-iteration summary;
-* :mod:`repro.obs.progress` — typed live progress events from the
-  loop, through callback/JSONL/TTY sinks (the service streaming hook);
+  fixed-bucket histograms (``tracer.metrics``, which derives the test
+  and replay duration histograms from spans), plus the canonical
+  ``product_*`` / ``checker_*`` counter plumbing shared with the reports;
+* :mod:`repro.obs.export` — the :class:`TraceFile` sink (JSONL streamed
+  or Chrome trace-event JSON), the self-time fold (and fold diff) behind
+  ``tools/trace_report.py``, and the plain-text per-iteration summary;
+* :mod:`repro.obs.progress` — the typed :class:`ProgressEvent` and the
+  callback/JSONL/TTY progress sinks (the service streaming hook);
 * :mod:`repro.obs.flight` — the flight recorder: a bounded event ring
-  that dumps a self-contained ``blackbox.json`` on anomalies, with a
-  zero-overhead :data:`NULL_FLIGHT_RECORDER` default and
-  ``REPRO_BLACKBOX`` environment activation.
+  that dumps a self-contained ``blackbox.json`` on anomalies.
 
-Span, metric, and progress-event names are a stable, tested contract —
-see ``docs/observability.md`` for the reference.
+The default is the zero-overhead :data:`NULL_TRACER`;
+:func:`resolve_tracer` turns ``REPRO_TRACE`` / ``REPRO_TRACE_FORMAT`` /
+``REPRO_BLACKBOX`` into sinks on one process-wide stream.  Span,
+metric, and progress-event names are a stable, tested contract — see
+``docs/observability.md`` for the reference.
 """
 
 from .export import (
@@ -34,25 +35,16 @@ from .export import (
     render_trace_summary,
     span_event,
     span_line,
-    write_chrome_trace,
-    write_jsonl,
+    TraceFile,
     write_trace,
 )
-from .flight import (
-    BLACKBOX_ENV,
-    NULL_FLIGHT_RECORDER,
-    FlightRecorder,
-    NullFlightRecorder,
-    resolve_flight_recorder,
-)
+from .flight import FlightRecorder
 from .metrics import (
     DEFAULT_TIME_BOUNDS,
-    NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     publish_record,
     record_counters,
 )
@@ -60,17 +52,18 @@ from .progress import (
     PROGRESS_EVENT_NAMES,
     CallbackProgressSink,
     JsonlProgressSink,
-    ProgressEmitter,
     ProgressEvent,
     TtyProgressSink,
 )
 from .tracer import (
+    BLACKBOX_ENV,
     NULL_TRACER,
     TRACE_ENV,
     TRACE_FORMAT_ENV,
     NullTracer,
     Span,
     Tracer,
+    env_sinks,
     resolve_tracer,
 )
 
@@ -84,18 +77,14 @@ __all__ = [
     "Histogram",
     "JsonlProgressSink",
     "MetricsRegistry",
-    "NULL_FLIGHT_RECORDER",
-    "NULL_METRICS",
     "NULL_TRACER",
-    "NullFlightRecorder",
-    "NullMetricsRegistry",
     "NullTracer",
     "PROGRESS_EVENT_NAMES",
-    "ProgressEmitter",
     "ProgressEvent",
     "Span",
     "TRACE_ENV",
     "TRACE_FORMAT_ENV",
+    "TraceFile",
     "Tracer",
     "TtyProgressSink",
     "chrome_trace",
@@ -104,16 +93,14 @@ __all__ = [
     "load_trace",
     "metric_events",
     "encode_event",
+    "env_sinks",
     "publish_record",
     "record_counters",
     "render_fold_diff",
     "render_fold_table",
     "render_trace_summary",
-    "resolve_flight_recorder",
     "resolve_tracer",
     "span_event",
     "span_line",
-    "write_chrome_trace",
-    "write_jsonl",
     "write_trace",
 ]

@@ -2,13 +2,13 @@
 
 Three audiences, three formats:
 
-* :func:`write_jsonl` — one JSON object per line (``{"type": "span", ...}``
-  then ``{"type": "metric", ...}``), greppable and streamable; the
-  format the ``REPRO_TRACE`` tracer appends live.
-* :func:`write_chrome_trace` — the Chrome trace-event format (a
-  ``{"traceEvents": [...]}`` document of ``ph: "X"`` complete events),
-  loadable in Perfetto / ``chrome://tracing``.  Every tracer track
-  becomes one named thread row under the coordinator's ``main`` track.
+* JSONL — one JSON object per line (``{"type": "span", ...}`` then
+  ``{"type": "metric", ...}``), greppable and streamable; what a
+  :class:`TraceFile` sink appends live.
+* Chrome — the trace-event format (a ``{"traceEvents": [...]}``
+  document of ``ph: "X"`` complete events), loadable in Perfetto /
+  ``chrome://tracing``.  Every tracer track becomes one named thread row
+  under the coordinator's ``main`` track.
 * :func:`render_trace_summary` — a plain-text per-iteration table of
   where each loop iteration spent its time, for terminals and CI logs.
 
@@ -21,7 +21,8 @@ children's — the number that actually ranks optimization targets.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Sequence
+import threading
+from typing import Iterable, Sequence
 
 from .metrics import MetricsRegistry
 from .tracer import Span, Tracer
@@ -31,9 +32,8 @@ __all__ = [
     "span_line",
     "encode_event",
     "metric_events",
-    "write_jsonl",
     "chrome_trace",
-    "write_chrome_trace",
+    "TraceFile",
     "write_trace",
     "load_trace",
     "fold_self_time",
@@ -117,27 +117,11 @@ def metric_events(metrics: MetricsRegistry) -> list[dict]:
     return events
 
 
-def write_jsonl(tracer: Tracer, destination: "str | IO[str]") -> None:
-    """Write every retained span, then the metrics snapshot, as JSONL."""
-
-    def emit(handle: "IO[str]") -> None:
-        for span in tracer.spans:
-            handle.write(span_line(span) + "\n")
-        for event in metric_events(tracer.metrics):
-            handle.write(encode_event(event) + "\n")
-
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            emit(handle)
-    else:
-        emit(destination)
-
-
 # --------------------------------------------------------- Chrome trace form
 
 
 def chrome_trace(tracer: Tracer) -> dict:
-    """The Chrome trace-event document for a tracer's retained spans.
+    """The Chrome trace-event document for a tracer's (or sink's) spans.
 
     One process (pid 1), one thread per track; tracks are named via
     ``thread_name`` metadata events and ordered by sorted track name, so
@@ -185,21 +169,65 @@ def chrome_trace(tracer: Tracer) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer: Tracer, path: str) -> None:
-    document = chrome_trace(tracer)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-        handle.write("\n")
+class TraceFile:
+    """The trace-file sink: JSONL streamed as spans finish, or Chrome at close.
+
+    ``jsonl`` writes one :func:`span_line` per finished span, in batches
+    of 256 lines with one unbuffered write each — so processes appending
+    to one file (``append=True``, the ``REPRO_TRACE`` route) never split
+    a line and a crashed run still leaves a usable prefix — then the
+    :func:`metric_events` of the stream's registry when it closes.
+    ``chrome`` keeps the spans (:attr:`spans`) and writes one
+    trace-event document at close.  The file is opened at construction,
+    so a bad path fails before any loop runs.
+    """
+
+    def __init__(self, path: str, *, format: str = "jsonl", append: bool = False):
+        if format not in ("jsonl", "chrome"):
+            raise ValueError(f"unknown trace format {format!r}; expected 'jsonl' or 'chrome'")
+        self.path = str(path)
+        self.format = format
+        self.spans: list[Span] = []
+        self._pending: list[str] = []
+        self._lock = threading.Lock()
+        self._handle = open(path, "ab" if append and format == "jsonl" else "wb", buffering=0)
+
+    def on_span(self, span: Span) -> None:
+        with self._lock:
+            if self.format == "chrome":
+                self.spans.append(span)
+                return
+            self._pending.append(span_line(span))
+            if len(self._pending) >= 256:
+                self._flush()
+
+    def on_metrics(self, metrics: MetricsRegistry) -> None:
+        if self.format == "jsonl":
+            with self._lock:
+                self._pending.extend(encode_event(event) for event in metric_events(metrics))
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle.closed:
+                return
+            if self.format == "chrome":
+                self._pending.append(json.dumps(chrome_trace(self), sort_keys=True))
+            self._flush()
+            self._handle.close()
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._handle.write(("\n".join(self._pending) + "\n").encode("utf-8"))
+            self._pending.clear()
 
 
 def write_trace(tracer: Tracer, path: str, *, format: str = "jsonl") -> None:
-    """Dispatch on ``format`` (``jsonl`` or ``chrome``)."""
-    if format == "jsonl":
-        write_jsonl(tracer, path)
-    elif format == "chrome":
-        write_chrome_trace(tracer, path)
-    else:
-        raise ValueError(f"unknown trace format {format!r}; expected 'jsonl' or 'chrome'")
+    """Write a tracer's retained spans and metrics as ``jsonl`` or ``chrome``."""
+    sink = TraceFile(path, format=format)
+    for span in tracer.spans:
+        sink.on_span(span)
+    sink.on_metrics(tracer.metrics)
+    sink.close()
 
 
 # ------------------------------------------------------------------- loading

@@ -13,12 +13,14 @@ self-contained ``blackbox.json``: the last-N events, the full
 every iteration record so far.  The dump is everything needed to
 replay the failure bit-for-bit from its seed.
 
-Like the tracer, the default is the zero-overhead
-:data:`NULL_FLIGHT_RECORDER` and activation follows the same three
-routes: ``SynthesisSettings(flight_recorder=FlightRecorder(dir))``,
-the CLI's ``--blackbox DIR``, or the :data:`BLACKBOX_ENV` environment
-variable (pointing at the dump directory) picked up by
-:func:`resolve_flight_recorder`.
+The recorder is a sink on the one stream
+(:class:`~repro.obs.tracer.Tracer`): its ring absorbs every event the
+stream publishes, numbered with the stream's ``seq``, and
+``Tracer.anomaly`` makes it dump.  Arm it with
+``SynthesisSettings(tracer=Tracer(FlightRecorder(dir)))``, the CLI's
+``--blackbox DIR``, or the ``REPRO_BLACKBOX`` environment variable
+(pointing at the dump directory) picked up by
+:func:`~repro.obs.tracer.resolve_tracer`.
 
 Determinism: ring entries carry only deterministic values (no
 wall-clock), dumps are sorted-key compact JSON, and the top-level
@@ -40,18 +42,9 @@ from pathlib import Path
 from .progress import ProgressEvent
 
 __all__ = [
-    "BLACKBOX_ENV",
     "BLACKBOX_SCHEMA",
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT_RECORDER",
-    "resolve_flight_recorder",
 ]
-
-#: Environment variable naming the blackbox dump directory; when set,
-#: :func:`resolve_flight_recorder` hands every loop an active recorder
-#: without touching any call site (the chaos CI legs set this).
-BLACKBOX_ENV = "REPRO_BLACKBOX"
 
 #: Schema tag written into every dump; bump on breaking layout changes.
 BLACKBOX_SCHEMA = "repro.blackbox/1"
@@ -86,8 +79,8 @@ def _jsonable(value):
 def settings_fingerprint(settings) -> dict | None:
     """The comparable fields of a settings dataclass, JSON-safe.
 
-    Non-compare fields (tracer, flight recorder, progress sink) are
-    observation plumbing, excluded exactly as they are from equality.
+    The non-compare field (the tracer) is observation plumbing,
+    excluded exactly as it is from equality.
     """
     if settings is None:
         return None
@@ -133,38 +126,6 @@ def _record_dict(record) -> dict:
     }
 
 
-class NullFlightRecorder:
-    """The do-nothing default: every hook is a constant-time no-op.
-
-    Mirrors :class:`repro.obs.tracer.NullTracer` — loops are
-    instrumented unconditionally and pay only an attribute check when
-    no recorder is configured (pinned ≤1% of loop time by
-    ``benchmarks/bench_incremental_loop.py``).
-    """
-
-    __slots__ = ()
-    enabled = False
-
-    def bind(self, *, settings=None, records=None) -> None:
-        pass
-
-    def emit(self, event) -> None:
-        pass
-
-    def record(self, name, /, **payload) -> None:
-        pass
-
-    def anomaly(self, reason, /, **context) -> None:
-        return None
-
-    def dump(self, reason, /, **context) -> None:
-        return None
-
-
-#: Shared do-nothing recorder (stateless, safe to share globally).
-NULL_FLIGHT_RECORDER = NullFlightRecorder()
-
-
 class FlightRecorder:
     """Bounded event ring with deterministic anomaly dumps.
 
@@ -172,9 +133,9 @@ class FlightRecorder:
     ----------
     directory:
         Where ``blackbox.json`` is written on anomaly; ``None`` keeps
-        the ring in memory only (``anomaly()`` still records the event
-        and ``snapshot()`` still works — useful for embedding callers
-        that ship the payload elsewhere).
+        the ring in memory only (anomalies still reach the ring and
+        ``snapshot()`` still works — useful for embedding callers that
+        ship the payload elsewhere).
     capacity:
         Ring size: only the most recent ``capacity`` events survive
         into a dump.
@@ -184,14 +145,12 @@ class FlightRecorder:
         ``blackbox.json`` without a label, ``blackbox-<label>.json``
         with one.
 
-    The recorder doubles as a progress sink (it has ``emit``), so one
-    instance can be passed as both ``flight_recorder=`` and a progress
-    consumer without double plumbing.  Every anomaly rewrites the same
-    dump file — the last dump holds the longest event history, and for
-    a deterministic scenario the final file is bit-stable.
+    As a sink of a :class:`~repro.obs.tracer.Tracer` the recorder takes
+    events (``emit``), loop context (``bind``) and anomalies (``dump``).
+    Every anomaly rewrites the same dump file — the last dump holds the
+    longest event history, and for a deterministic scenario the final
+    file is bit-stable.
     """
-
-    enabled = True
 
     def __init__(self, directory=None, *, capacity: int = 256, label: str | None = None):
         if capacity < 1:
@@ -200,7 +159,7 @@ class FlightRecorder:
         self.capacity = capacity
         self.label = label
         self._events: deque[dict] = deque(maxlen=capacity)
-        self._seq = 0
+        self._recorded = 0
         self._settings = None
         self._records = None
         self.dumps = 0
@@ -220,13 +179,9 @@ class FlightRecorder:
             self._records = records
 
     def emit(self, event: ProgressEvent) -> None:
-        """Progress-sink entry point: absorb a typed event into the ring."""
-        self.record(event.name, **event.payload)
-
-    def record(self, name, /, **payload) -> None:
         """Append one event; the ring drops the oldest beyond capacity."""
-        self._events.append({"seq": self._seq, "event": name, **payload})
-        self._seq += 1
+        self._events.append({"seq": event.seq, "event": event.name, **event.payload})
+        self._recorded += 1
 
     @property
     def events(self) -> tuple[dict, ...]:
@@ -237,16 +192,6 @@ class FlightRecorder:
 
     # --------------------------------------------------------------- dumping
 
-    def anomaly(self, reason, /, **context) -> Path | None:
-        """Record an anomaly event and dump the blackbox.
-
-        Returns the dump path, or ``None`` without a directory.
-        """
-        merged = dict(context)
-        merged["reason"] = reason
-        self.record("anomaly.recorded", **merged)
-        return self.dump(reason, **context)
-
     def snapshot(self, reason, /, **context) -> dict:
         """The dump payload as a dict (what :meth:`dump` serializes)."""
         records = self._records() if self._records is not None else ()
@@ -255,7 +200,7 @@ class FlightRecorder:
             "reason": reason,
             "label": self.label,
             "capacity": self.capacity,
-            "events_recorded": self._seq,
+            "events_recorded": self._recorded,
             "events": list(self._events),
             "settings": settings_fingerprint(self._settings),
             "fault_seed": self._fault_seed(),
@@ -298,29 +243,3 @@ class FlightRecorder:
             except ValueError:
                 return None
         return None
-
-
-#: Process-wide recorder for the environment activation route, keyed by
-#: the directory so tests that rewrite :data:`BLACKBOX_ENV` get fresh
-#: recorders (mirrors the tracer's ``_ENV_TRACER`` cache).
-_ENV_RECORDER: tuple[str, FlightRecorder] | None = None
-
-
-def resolve_flight_recorder(flight=None):
-    """Pick the active flight recorder for a loop.
-
-    An explicit recorder wins; otherwise :data:`BLACKBOX_ENV` names a
-    dump directory served by a process-wide shared recorder; otherwise
-    the zero-overhead :data:`NULL_FLIGHT_RECORDER`.
-    """
-    if flight is not None:
-        return flight
-    target = os.environ.get(BLACKBOX_ENV, "").strip()
-    if not target:
-        return NULL_FLIGHT_RECORDER
-    global _ENV_RECORDER
-    if _ENV_RECORDER is not None and _ENV_RECORDER[0] == target:
-        return _ENV_RECORDER[1]
-    recorder = FlightRecorder(target)
-    _ENV_RECORDER = (target, recorder)
-    return recorder

@@ -12,7 +12,10 @@ read from:
   ``result_to_dict`` and the markdown report);
 * :func:`publish_record` folds the same counters into a registry;
 * ``CheckerStats.publish_to`` and ``WorkerPool.publish_to`` snapshot
-  their own dicts via :meth:`MetricsRegistry.absorb`.
+  their own dicts via :meth:`MetricsRegistry.absorb`;
+* as a span sink of its :class:`~repro.obs.tracer.Tracer`, the registry
+  derives the ``test_execute_seconds`` / ``monitor_replay_seconds``
+  histograms from the ``test.execute`` / ``monitor.replay`` spans.
 
 Determinism: histograms use *fixed* bucket bounds (never computed from
 the data), and every ``as_dict`` is sorted by name, so the exported
@@ -30,8 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
     "record_counters",
     "publish_record",
 ]
@@ -53,6 +54,15 @@ DEFAULT_TIME_BOUNDS: tuple[float, ...] = (
     3.2,
     10.0,
 )
+
+
+#: Span names whose durations the registry observes, and the histogram
+#: each lands in: test execution and monitor replay are the loop phases
+#: whose latency the engine does not control.
+_SPAN_HISTOGRAMS = {
+    "test.execute": "test_execute_seconds",
+    "monitor.replay": "monitor_replay_seconds",
+}
 
 
 class Counter:
@@ -123,7 +133,8 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create home of every counter, gauge, and histogram.
 
-    One registry accompanies one :class:`~repro.obs.tracer.Tracer`;
+    One registry accompanies one :class:`~repro.obs.tracer.Tracer`
+    (disabled streams have none: call sites check ``tracer.enabled``);
     instrumented code reaches it as ``tracer.metrics``.  All accessors
     are get-or-create, so publication sites never need registration
     boilerplate.
@@ -165,6 +176,12 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
+    def on_span(self, span) -> None:
+        """Span-sink hook: fold test and replay durations into histograms."""
+        name = _SPAN_HISTOGRAMS.get(span.name)
+        if name is not None:
+            self.histogram(name).observe(span.duration)
+
     def absorb(self, mapping: dict, prefix: str = "") -> None:
         """Snapshot a counter dict (``CheckerStats.as_dict()``-style).
 
@@ -195,61 +212,6 @@ class MetricsRegistry:
                 name: self._histograms[name].as_dict() for name in sorted(self._histograms)
             },
         }
-
-
-class _NullMetric:
-    """Shared no-op stand-in for Counter/Gauge/Histogram."""
-
-    __slots__ = ()
-    name = ""
-    value = 0
-    count = 0
-    total = 0.0
-    bounds: tuple[float, ...] = ()
-    counts: list[int] = []
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float | int) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def as_dict(self) -> dict[str, object]:
-        return {}
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """The registry behind ``NULL_TRACER.metrics``: records nothing."""
-
-    def __init__(self) -> None:
-        pass
-
-    def counter(self, name: str) -> Counter:  # type: ignore[override]
-        return _NULL_METRIC  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:  # type: ignore[override]
-        return _NULL_METRIC  # type: ignore[return-value]
-
-    def histogram(  # type: ignore[override]
-        self, name: str, bounds: tuple[float, ...] = DEFAULT_TIME_BOUNDS
-    ) -> Histogram:
-        return _NULL_METRIC  # type: ignore[return-value]
-
-    def absorb(self, mapping: dict, prefix: str = "") -> None:
-        pass
-
-    def as_dict(self) -> dict[str, dict]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-#: Process-wide no-op registry (the ``metrics`` of ``NULL_TRACER``).
-NULL_METRICS = NullMetricsRegistry()
 
 
 # -------------------------------------------------- iteration-record plumbing

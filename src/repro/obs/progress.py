@@ -1,13 +1,13 @@
 """Live progress events from the verify → test → learn loop.
 
 The span tracer (:mod:`repro.obs.tracer`) answers "where did the time
-go" after a run; this module answers "where is the loop *right now*"
-while it runs.  Both synthesizers emit a small stream of typed
-:class:`ProgressEvent` values — loop started, iteration begun, verify
-phase finished with its ``product_*``/``checker_*`` counter deltas,
-iteration finished, verdict reached, quarantine admissions, and test
-retries/timeouts — through a minimal sink interface: any object with an
-``emit(event)`` method.
+go" after a run; its events answer "where is the loop *right now*"
+while it runs.  Both synthesizers publish a small stream of typed
+:class:`ProgressEvent` values through ``Tracer.event`` — loop started,
+iteration begun, verify phase finished with its
+``product_*``/``checker_*`` counter deltas, iteration finished, verdict
+reached, quarantine admissions, test retries/timeouts, and every
+anomaly — to each sink of the stream with an ``emit(event)`` method.
 
 Three sinks ship here:
 
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "PROGRESS_EVENT_NAMES",
     "ProgressEvent",
-    "ProgressEmitter",
     "CallbackProgressSink",
     "JsonlProgressSink",
     "TtyProgressSink",
@@ -75,7 +74,7 @@ class ProgressEvent:
     """One typed progress notification.
 
     ``name`` is drawn from :data:`PROGRESS_EVENT_NAMES`; ``seq`` is the
-    emitter's monotonically increasing sequence number (deterministic
+    stream's monotonically increasing sequence number (deterministic
     for a deterministic run); ``payload`` holds the event's fields —
     plain JSON-serializable scalars, lists, and strings only.
     """
@@ -91,39 +90,6 @@ class ProgressEvent:
     def encode(self) -> str:
         """Deterministic sorted-key compact JSON of :meth:`as_dict`."""
         return _ENCODE(self.as_dict())
-
-
-class ProgressEmitter:
-    """Deterministic fan-out of loop events to every active consumer.
-
-    Both synthesizers build one emitter from the configured progress
-    sink and flight recorder; ``emit`` sequences events with a single
-    monotone counter and forwards the same :class:`ProgressEvent` to
-    each consumer.  With no active consumers (the default) the emitter
-    is falsy and ``emit`` returns after one tuple check, so the
-    uninstrumented loop pays essentially nothing.
-    """
-
-    __slots__ = ("_observers", "_seq")
-
-    def __init__(self, *observers):
-        self._observers = tuple(
-            observer
-            for observer in observers
-            if observer is not None and getattr(observer, "enabled", True)
-        )
-        self._seq = 0
-
-    def __bool__(self) -> bool:
-        return bool(self._observers)
-
-    def emit(self, name, /, **payload) -> None:
-        if not self._observers:
-            return
-        event = ProgressEvent(name, self._seq, payload)
-        self._seq += 1
-        for observer in self._observers:
-            observer.emit(event)
 
 
 class CallbackProgressSink:

@@ -1,47 +1,72 @@
-"""Hierarchical span tracing with a zero-overhead null default.
+"""The one observability stream of the verify → test → learn loop.
 
-A :class:`Tracer` collects *spans* — named, timed intervals on named
-*tracks* — from the verify → test → learn loop.  The API is designed so
-instrumentation can stay in the hot paths permanently:
+A :class:`Tracer` publishes three kinds of records, each through one
+entry point, and hands every record to its *sinks*:
 
-* ``with tracer.span("checker.check", kind="property"): ...`` times a
-  block on the coordinator track (``"main"`` unless overridden);
-* ``tracer.record(name, track=..., start=t0, duration=dt)`` publishes a
-  measurement taken elsewhere — a worker times itself with
-  :func:`time.perf_counter` and reports on its own track;
-* ``@tracer.wrap("learn.merge")`` decorates a function.
+* **spans** — ``with tracer.span("checker.check", kind="property"): ...``
+  times a block on a track (``"main"`` unless overridden);
+  ``tracer.record(name, track=..., start=t0, duration=dt)`` publishes an
+  interval timed elsewhere (a worker reporting on its own track) and
+  ``@tracer.wrap("learn.merge")`` decorates a function;
+* **events** — ``tracer.event("iteration.started", iteration=3)``
+  numbers the event with the stream's one ``seq`` and hands the same
+  :class:`~repro.obs.progress.ProgressEvent` to every sink;
+* **anomalies** — ``tracer.anomaly("test_timeout", test=...)`` publishes
+  an ``anomaly.recorded`` event and asks every blackbox sink to dump.
 
-Hierarchy is positional: spans on the same track nest by interval
-containment, which is exactly how Chrome trace viewers (and the
-self-time fold of ``tools/trace_report.py``) reconstruct the call tree.
+A sink is any object with one or more of these hooks:
+
+==========================  ==============================================
+``on_span(span)``           a finished :class:`Span` (trace files)
+``emit(event)``             a sequenced event (progress sinks, the ring)
+``dump(reason, **context)`` an anomaly happened (the flight recorder)
+``bind(**context)``         loop context for later dumps (settings, records)
+``on_metrics(registry)``    the final metrics snapshot, when the stream closes
+``close()``                 the stream closed (flush files, end status lines)
+==========================  ==============================================
+
+Every stream keeps a :class:`~repro.obs.metrics.MetricsRegistry` as
+``tracer.metrics``; it is itself a span sink, deriving the
+``test_execute_seconds`` / ``monitor_replay_seconds`` histograms from
+span durations.  Without sinks a tracer keeps its spans in memory
+(:attr:`Tracer.spans`) for the exporters; with sinks it keeps nothing.
+
+Spans nest by interval containment per track, which is exactly how
+Chrome trace viewers (and the self-time fold of
+``tools/trace_report.py``) reconstruct the call tree.
 
 The default is :data:`NULL_TRACER`, whose ``span`` returns one shared
-no-op context manager and whose ``metrics`` is the no-op registry — the
-instrumented loop pays only the call itself (the benchmark guard in
-``benchmarks/bench_incremental_loop.py`` pins this below 1% of loop
-time).  ``REPRO_TRACE=/path/to/file`` activates a process-wide tracer
-without touching call sites (``REPRO_TRACE_FORMAT`` selects ``jsonl``,
-the streaming default, or ``chrome``, written at interpreter exit).
+no-op context manager and whose other entry points do nothing — the
+instrumented loop pays only the call itself (the benchmark guards in
+``benchmarks/bench_incremental_loop.py`` pin this below 1% of loop
+time), and ``enabled`` is ``False`` so call sites skip building
+payloads.  :func:`resolve_tracer` turns the ``REPRO_TRACE`` /
+``REPRO_TRACE_FORMAT`` / ``REPRO_BLACKBOX`` variables into sinks on one
+process-wide stream; an explicit tracer is always used exactly as given.
 """
 
 from __future__ import annotations
 
 import atexit
 import functools
+import itertools
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 
-from .metrics import NULL_METRICS, MetricsRegistry
+from .metrics import MetricsRegistry
+from .progress import ProgressEvent
 
 __all__ = [
     "TRACE_ENV",
     "TRACE_FORMAT_ENV",
+    "BLACKBOX_ENV",
     "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
+    "env_sinks",
     "resolve_tracer",
 ]
 
@@ -53,6 +78,13 @@ TRACE_ENV = "REPRO_TRACE"
 #: Companion format knob for :data:`TRACE_ENV`: ``jsonl`` (default,
 #: streamed) or ``chrome`` (one trace-event JSON written at exit).
 TRACE_FORMAT_ENV = "REPRO_TRACE_FORMAT"
+
+#: Environment variable naming the blackbox dump directory: arms a
+#: flight recorder on the process-wide stream (the chaos CI legs set it).
+BLACKBOX_ENV = "REPRO_BLACKBOX"
+
+#: The hooks that make an object a sink (see the module docstring).
+_HOOKS = ("on_span", "emit", "dump", "bind", "on_metrics", "close")
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,41 +129,59 @@ class _SpanHandle:
         return False
 
 
+def _hooks(sinks, name: str) -> tuple:
+    return tuple(getattr(sink, name) for sink in sinks if hasattr(sink, name))
+
+
 class Tracer:
-    """Collects spans and metrics for one (or many) synthesis runs.
+    """One observability stream: spans, events and anomalies, fanned out to sinks.
 
     Parameters
     ----------
+    *sinks:
+        The stream's outputs (see the module docstring for the hooks).
+        ``None`` and sinks whose ``enabled`` is ``False`` are dropped,
+        and a sink given twice is kept once, so it receives each record
+        once.  Span and event sinks are called without the tracer's
+        lock, so a sink shared across threads synchronizes internally
+        (:class:`~repro.obs.export.TraceFile` does).
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` counters publish
         into; a fresh one by default.
-    sink:
-        Optional callable invoked with each finished :class:`Span`.
-        With a sink the tracer *streams* and retains nothing — the mode
-        the ``REPRO_TRACE`` JSONL tracer uses so a whole test suite can
-        run traced without accumulating memory.  Sinks are invoked
-        without the tracer's lock, so one shared across threads must
-        synchronize internally (the ``REPRO_TRACE`` sink does).
-        Without a sink, spans are kept on :attr:`spans` for the
-        exporters.
     """
 
     enabled = True
 
-    def __init__(self, *, metrics: MetricsRegistry | None = None, sink=None):
+    def __init__(self, *sinks, metrics: MetricsRegistry | None = None):
+        unique: list = []
+        for sink in sinks:
+            if sink is None or getattr(sink, "enabled", True) is False:
+                continue
+            if not any(hasattr(sink, hook) for hook in _HOOKS):
+                raise TypeError(
+                    f"a sink must provide one of {', '.join(_HOOKS)}; "
+                    f"got {type(sink).__name__}"
+                )
+            if all(sink is not kept for kept in unique):
+                unique.append(sink)
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._spans: list[Span] = []
-        self._sink = sink
+        self._seq = itertools.count()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.sinks: tuple = tuple(unique)
+        self._keep = not unique
+        self._span_sinks = (self.metrics.on_span, *_hooks(unique, "on_span"))
+        self._emitters = _hooks(unique, "emit")
+        self._dumpers = _hooks(unique, "dump")
 
     @property
     def spans(self) -> tuple[Span, ...]:
-        """Every finished span, in completion order (empty when streaming)."""
+        """Every finished span, in completion order (empty with sinks)."""
         with self._lock:
             return tuple(self._spans)
 
-    # ------------------------------------------------------------ recording
+    # ---------------------------------------------------------------- spans
 
     def span(self, name: str, *, track: str = "main", **args) -> _SpanHandle:
         """A context manager timing a block as one span on ``track``."""
@@ -168,15 +218,44 @@ class Tracer:
 
     def _emit(self, name: str, track: str, start: float, duration: float, args: dict) -> None:
         span = Span(name, track, start - self._epoch, duration, args)
-        sink = self._sink
-        if sink is not None:
-            # Sinks serialize their own access (the REPRO_TRACE sink
-            # holds a file lock) — taking the tracer lock here too would
-            # double-lock the hottest path of the active tracer.
+        for sink in self._span_sinks:
             sink(span)
-            return
-        with self._lock:
-            self._spans.append(span)
+        if self._keep:
+            with self._lock:
+                self._spans.append(span)
+
+    # ------------------------------------------------------ events, anomalies
+
+    def event(self, name: str, /, **payload) -> None:
+        """Publish one progress event, numbered with the stream's ``seq``."""
+        self._publish(name, payload)
+
+    def anomaly(self, reason: str, /, **context) -> None:
+        """Publish ``anomaly.recorded`` and have every blackbox sink dump."""
+        payload = dict(context)
+        payload["reason"] = reason
+        self._publish("anomaly.recorded", payload)
+        for dump in self._dumpers:
+            dump(reason, **context)
+
+    def _publish(self, name: str, payload: dict) -> None:
+        event = ProgressEvent(name, next(self._seq), payload)
+        for emit in self._emitters:
+            emit(event)
+
+    # ------------------------------------------------------------- lifecycle
+
+    def bind(self, **context) -> None:
+        """Hand loop context (``settings=``, ``records=``) to every sink."""
+        for bind in _hooks(self.sinks, "bind"):
+            bind(**context)
+
+    def close(self) -> None:
+        """End the stream: hand sinks the metrics snapshot, then close them."""
+        for publish in _hooks(self.sinks, "on_metrics"):
+            publish(self.metrics)
+        for close in _hooks(self.sinks, "close"):
+            close()
 
 
 class NullTracer:
@@ -186,14 +265,15 @@ class NullTracer:
     null span keeps the per-call cost to one attribute lookup and one
     call — small enough to leave tracing calls in every hot path (the
     benchmark guard holds it below 1% of loop time).  ``enabled`` is
-    ``False`` so bulk publication sites can skip entirely.
+    ``False`` so call sites skip building payloads and publishing
+    metrics entirely.
     """
 
     __slots__ = ()
 
     enabled = False
-    metrics = NULL_METRICS
     spans: tuple[Span, ...] = ()
+    sinks: tuple = ()
 
     def span(self, name: str, *, track: str = "main", **args) -> "_NullSpan":
         return _NULL_SPAN
@@ -207,6 +287,18 @@ class NullTracer:
         return lambda function: function
 
     def count(self, name: str, amount: int = 1) -> None:
+        pass
+
+    def event(self, name: str, /, **payload) -> None:
+        pass
+
+    def anomaly(self, reason: str, /, **context) -> None:
+        pass
+
+    def bind(self, **context) -> None:
+        pass
+
+    def close(self) -> None:
         pass
 
 
@@ -231,67 +323,64 @@ NULL_TRACER = NullTracer()
 
 # ------------------------------------------------------------- env activation
 
-_ENV_TRACER: "tuple[tuple[str, str], Tracer] | None" = None
+
+def env_sinks(*, trace: bool = True, blackbox: bool = True) -> list:
+    """The sinks the ``REPRO_TRACE``/``REPRO_BLACKBOX`` variables ask for.
+
+    ``trace=False`` / ``blackbox=False`` skip a variable (the CLI does
+    for the kinds its own flags already configure).  Every path is
+    checked here, before any loop starts: a bad one raises
+    :class:`~repro.errors.SynthesisError` naming its variable.
+    """
+    from ..errors import SynthesisError
+
+    path = os.environ.get(TRACE_ENV, "").strip() if trace else ""
+    fmt = os.environ.get(TRACE_FORMAT_ENV, "").strip() or "jsonl"
+    directory = os.environ.get(BLACKBOX_ENV, "").strip() if blackbox else ""
+    if path and fmt not in ("jsonl", "chrome"):
+        raise SynthesisError(f"{TRACE_FORMAT_ENV} must be 'jsonl' or 'chrome', got {fmt!r}")
+    if path and os.path.isdir(path):
+        raise SynthesisError(f"{TRACE_ENV} must name a file, got the directory {path!r}")
+    if directory and os.path.exists(directory) and not os.path.isdir(directory):
+        raise SynthesisError(f"{BLACKBOX_ENV} must name a directory, got the file {directory!r}")
+    sinks: list = []
+    if path:
+        from .export import TraceFile
+
+        try:
+            sinks.append(TraceFile(path, format=fmt, append=True))
+        except OSError as error:
+            raise SynthesisError(f"{TRACE_ENV}={path!r} cannot be written: {error}") from None
+    if directory:
+        from .flight import FlightRecorder
+
+        sinks.append(FlightRecorder(directory))
+    return sinks
+
+
+#: Process-wide env streams, one per ``(trace, format, blackbox)``
+#: setting, so tests that rewrite the variables get fresh sinks.
+_ENV_STREAMS: dict[tuple[str, str, str], Tracer] = {}
 
 
 def resolve_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":
-    """An explicit tracer, the ``REPRO_TRACE`` env tracer, or the null one.
+    """An explicit tracer as given, else the env stream, else the null one.
 
     Call sites thread ``None`` through and resolution happens in one
-    place.  The env tracer is process-wide
-    and created once per ``(path, format)`` pair.
+    place.  The env stream is process-wide, built once per setting of
+    the three variables, and closed at interpreter exit.
     """
     if tracer is not None:
         return tracer
-    path = os.environ.get(TRACE_ENV, "").strip()
-    if not path:
+    key = (
+        os.environ.get(TRACE_ENV, "").strip(),
+        os.environ.get(TRACE_FORMAT_ENV, "").strip(),
+        os.environ.get(BLACKBOX_ENV, "").strip(),
+    )
+    if not key[0] and not key[2]:
         return NULL_TRACER
-    fmt = os.environ.get(TRACE_FORMAT_ENV, "").strip() or "jsonl"
-    global _ENV_TRACER
-    if _ENV_TRACER is not None and _ENV_TRACER[0] == (path, fmt):
-        return _ENV_TRACER[1]
-    env_tracer = _make_env_tracer(path, fmt)
-    _ENV_TRACER = ((path, fmt), env_tracer)
-    return env_tracer
-
-
-def _make_env_tracer(path: str, fmt: str) -> Tracer:
-    from .export import encode_event, metric_events, span_line, write_chrome_trace
-
-    if fmt == "chrome":
-        # Chrome trace-event JSON is one document: retain spans and
-        # write the file when the process ends.
-        tracer = Tracer()
-        atexit.register(write_chrome_trace, tracer, path)
-        return tracer
-    if fmt != "jsonl":
-        from ..errors import SynthesisError
-
-        raise SynthesisError(f"{TRACE_FORMAT_ENV} must be 'jsonl' or 'chrome', got {fmt!r}")
-    handle = open(path, "a", encoding="utf-8")
-    lock = threading.Lock()
-    pending = [0]
-
-    def sink(span: Span) -> None:
-        # A flush per span would syscall in the loop's hottest paths;
-        # flushing every few hundred keeps a crashed run's prefix fresh
-        # at a fraction of the cost (the OS buffer holds the rest).
-        line = span_line(span)
-        with lock:
-            handle.write(line + "\n")
-            pending[0] += 1
-            if pending[0] >= 256:
-                pending[0] = 0
-                handle.flush()
-
-    tracer = Tracer(sink=sink)
-
-    def finish() -> None:
-        with lock:
-            for event in metric_events(tracer.metrics):
-                handle.write(encode_event(event) + "\n")
-            handle.flush()
-            handle.close()
-
-    atexit.register(finish)
-    return tracer
+    stream = _ENV_STREAMS.get(key)
+    if stream is None:
+        stream = _ENV_STREAMS[key] = Tracer(*env_sinks())
+        atexit.register(stream.close)
+    return stream

@@ -16,7 +16,6 @@ types report it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -33,7 +32,6 @@ from ..logic.checker import ModelChecker
 from ..logic.compositional import assert_compositional, weaken_for_chaos
 from ..logic.formulas import AF, AU, DEADLOCK_FREE, Deadlock, Formula
 from ..obs.metrics import publish_record
-from ..obs.progress import ProgressEmitter
 from ..obs.tracer import resolve_tracer
 from ..testing.executor import TestVerdict
 from ..testing.faults import FaultyComponent
@@ -150,19 +148,12 @@ class _LoopDriver:
         settings = settings if settings is not None else SynthesisSettings()
         self.settings = settings
         self.tracer = resolve_tracer(settings.tracer)
-        self.flight = settings.resolved_flight_recorder()
-        self.flight.bind(settings=settings)
-        self._events = ProgressEmitter(settings.progress, self.flight)
+        self.tracer.bind(settings=settings)
         self._fault_profile = settings.resolved_fault_profile()
         self._chaos = self._fault_profile is not None and self._fault_profile.active
         self._remote = settings.resolved_remote()
         self.retry_policy = settings.resolved_retry_policy()
-        self.robust = RobustExecutor(
-            self.retry_policy,
-            tracer=self.tracer,
-            flight=self.flight,
-            events=self._events.emit if self._events else None,
-        )
+        self.robust = RobustExecutor(self.retry_policy, tracer=self.tracer)
         self.quarantine = Quarantine()
         self.context = context
         self.property = property
@@ -206,14 +197,7 @@ class _LoopDriver:
         if self._chaos:
             profile = replace(self._fault_profile, seed=self._fault_profile.seed + position)
         if self._remote is not None:
-            return rehost(
-                component,
-                self._remote,
-                fault_profile=profile,
-                tracer=self.tracer,
-                flight=self.flight,
-                events=self._events.emit if self._events else None,
-            )
+            return rehost(component, self._remote, fault_profile=profile, tracer=self.tracer)
         if profile is not None:
             return FaultyComponent.wrap(component, profile, tracer=self.tracer)
         return component
@@ -279,10 +263,9 @@ class _LoopDriver:
 
     def _run(self):
         tracer = self.tracer
-        events = self._events
         records: list = []
-        self.flight.bind(settings=self.settings, records=lambda: records)
-        events.emit(
+        tracer.bind(settings=self.settings, records=lambda: records)
+        tracer.event(
             "loop.started",
             synthesizer=self._synthesizer,
             **self._loop_info(),
@@ -303,8 +286,8 @@ class _LoopDriver:
         check = None
         for index in range(self.max_iterations):
             with tracer.span("loop.iteration", index=index):
-                if events:
-                    events.emit("iteration.started", iteration=index)
+                if tracer.enabled:
+                    tracer.event("iteration.started", iteration=index)
                 check = None  # free the previous product before verifying anew
                 check = self._verify(engine, index)
                 if check.property_holds and check.deadlock_free:
@@ -359,7 +342,7 @@ class _LoopDriver:
                         # sound degraded answer is inconclusive, never a
                         # crash — found by the randomized conformance
                         # campaign on large scenarios.
-                        self.flight.anomaly(
+                        tracer.anomaly(
                             "chaos_zero_progress", iteration=index, counterexample=repr(cex)
                         )
                         return self._finish(Verdict.BUDGET_EXCEEDED, records, check)
@@ -368,7 +351,7 @@ class _LoopDriver:
                         "this contradicts §4.4's termination argument and indicates "
                         "a non-deterministic component or an inconsistent universe"
                     )
-                    self.flight.anomaly("synthesis_error", iteration=index, error=message)
+                    tracer.anomaly("synthesis_error", iteration=index, error=message)
                     raise SynthesisError(message)
         return self._finish(Verdict.BUDGET_EXCEEDED, records, check)
 
@@ -395,8 +378,8 @@ class _LoopDriver:
             property_holds = checker.check(self.weakened_property).holds
         with tracer.span("checker.check", kind="deadlock"):
             deadlock_free = checker.check(DEADLOCK_FREE).holds
-        if self._events:
-            self._events.emit(
+        if tracer.enabled:
+            tracer.event(
                 "phase.finished",
                 iteration=index,
                 phase="verify",
@@ -435,8 +418,7 @@ class _LoopDriver:
         if tracer.enabled:
             publish_record(tracer.metrics, record)
             check.checker.stats.publish_to(tracer.metrics)
-        if self._events:
-            self._events.emit(
+            tracer.event(
                 "iteration.finished",
                 iteration=record.index,
                 property_holds=record.property_holds,
@@ -473,15 +455,15 @@ class _LoopDriver:
     ):
         """Build the result; emit the verdict (and dump degraded ones)."""
         result = self._result(verdict, records, check, witness, kind)
-        if self._events:
-            self._events.emit(
-                "verdict.reached",
-                verdict=verdict.value,
-                iterations=result.iteration_count,
-                quarantined=len(result.quarantined),
-            )
+        tracer = self.tracer
+        tracer.event(
+            "verdict.reached",
+            verdict=verdict.value,
+            iterations=result.iteration_count,
+            quarantined=len(result.quarantined),
+        )
         if verdict is Verdict.BUDGET_EXCEEDED:
-            self.flight.anomaly(
+            tracer.anomaly(
                 "budget_exceeded",
                 iterations=result.iteration_count,
                 quarantined=len(result.quarantined),
@@ -534,13 +516,10 @@ class _LoopDriver:
         """Quarantine a counterexample; an admission is a recorded anomaly."""
         admitted = self.quarantine.push(run, probe=probe)
         if admitted:
-            if self._events:
-                self._events.emit(
-                    "quarantine.admitted",
-                    quarantine_size=len(self.quarantine),
-                    probe=probe,
-                )
-            self.flight.anomaly(
+            self.tracer.event(
+                "quarantine.admitted", quarantine_size=len(self.quarantine), probe=probe
+            )
+            self.tracer.anomaly(
                 "quarantine_admission",
                 counterexample=repr(run),
                 quarantine_size=len(self.quarantine),
@@ -556,10 +535,8 @@ class _LoopDriver:
 
     def _execute(self, slot: _Slot, case: TestCase, scratch: _IterationScratch) -> RobustExecution:
         """One supervised execution (retries, deadlines, validation)."""
-        begin = time.perf_counter()
         with self.tracer.span("test.execute", steps=len(case.steps)):
             outcome = self.robust.execute(slot.component, case, port=self.port)
-        self.tracer.metrics.observe("test_execute_seconds", time.perf_counter() - begin)
         scratch.tests += outcome.attempts
         scratch.retries += outcome.retries
         scratch.timeouts += outcome.timeouts
@@ -621,11 +598,8 @@ class _LoopDriver:
 
     def _replay(self, slot: _Slot, recording, scratch: _IterationScratch) -> ReplayResult:
         scratch.replays += 1
-        begin = time.perf_counter()
         with self.tracer.span("monitor.replay", steps=len(recording.steps)):
-            result = self._layers.replay(slot.component, recording, port=self.port)
-        self.tracer.metrics.observe("monitor_replay_seconds", time.perf_counter() - begin)
-        return result
+            return self._layers.replay(slot.component, recording, port=self.port)
 
     def _outcome_replay(
         self, slot: _Slot, outcome: RobustExecution, scratch: _IterationScratch

@@ -75,26 +75,17 @@ class SynthesisSettings:
         ``docs/remote.md``).  When combined with ``fault_profile``, the
         faults are injected *inside* the host process.
     tracer:
-        A :class:`repro.obs.Tracer` receiving spans and metrics from the
-        run.  ``None`` (the default) defers to the ``REPRO_TRACE``
-        environment variable and falls back to the zero-overhead
-        :data:`repro.obs.NULL_TRACER`.  Excluded from equality/repr —
-        tracing observes a run, it never changes one.
-    flight_recorder:
-        A :class:`repro.obs.FlightRecorder` keeping a bounded ring of
-        recent loop events and dumping a self-contained
-        ``blackbox.json`` on anomalies (inconclusive escalations, test
-        deadline expiries, quarantine admissions, degraded verdicts).
-        ``None`` (the default) defers to the ``REPRO_BLACKBOX``
-        environment variable and falls back to the zero-overhead
-        :data:`repro.obs.NULL_FLIGHT_RECORDER`.  Excluded from
-        equality/repr like the tracer.
-    progress:
-        A progress sink — any object with an ``emit(event)`` method
-        (see :mod:`repro.obs.progress`) — receiving the loop's typed
-        live :class:`~repro.obs.ProgressEvent` stream.  ``None`` (the
-        default) emits nothing.  Excluded from equality/repr like the
-        tracer.
+        The observability stream (a :class:`repro.obs.Tracer`) that
+        receives the run's spans, metrics, progress events and
+        anomalies; its sinks decide where they go — a trace file, the
+        flight recorder's blackbox, a progress sink, e.g.
+        ``Tracer(FlightRecorder("dumps/"), TtyProgressSink())``.  An
+        explicit tracer is used exactly as given; ``None`` (the
+        default) defers to the ``REPRO_TRACE`` / ``REPRO_TRACE_FORMAT``
+        / ``REPRO_BLACKBOX`` variables (see
+        :func:`repro.obs.resolve_tracer`) and falls back to the
+        zero-overhead :data:`repro.obs.NULL_TRACER`.  Excluded from
+        equality/repr — observing a run never changes it.
     """
 
     max_iterations: int | None = None
@@ -104,8 +95,6 @@ class SynthesisSettings:
     fault_profile: FaultProfile | None = None
     remote: RemotePolicy | bool | None = None
     tracer: object | None = field(default=None, compare=False, repr=False)
-    flight_recorder: object | None = field(default=None, compare=False, repr=False)
-    progress: object | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_iterations is not None and (
@@ -139,24 +128,11 @@ class SynthesisSettings:
                     f"{type(self.remote).__name__}"
                 )
         if self.tracer is not None and not (
-            hasattr(self.tracer, "span") and hasattr(self.tracer, "metrics")
+            hasattr(self.tracer, "span") and hasattr(self.tracer, "event")
         ):
             raise SynthesisError(
-                f"tracer must provide span() and metrics (see repro.obs.Tracer), "
+                f"tracer must provide span() and event() (see repro.obs.Tracer), "
                 f"got {type(self.tracer).__name__}"
-            )
-        if self.flight_recorder is not None and not (
-            hasattr(self.flight_recorder, "record")
-            and hasattr(self.flight_recorder, "anomaly")
-        ):
-            raise SynthesisError(
-                f"flight_recorder must provide record() and anomaly() (see "
-                f"repro.obs.FlightRecorder), got {type(self.flight_recorder).__name__}"
-            )
-        if self.progress is not None and not hasattr(self.progress, "emit"):
-            raise SynthesisError(
-                f"progress must provide emit(event) (see repro.obs.progress), "
-                f"got {type(self.progress).__name__}"
             )
 
     # ------------------------------------------------------------ resolution
@@ -178,10 +154,3 @@ class SynthesisSettings:
         from ..legacy.remote import resolve_remote
 
         return resolve_remote(self.remote)
-
-    def resolved_flight_recorder(self):
-        """The flight recorder: explicit, ``REPRO_BLACKBOX``, or the null."""
-        from ..obs.flight import resolve_flight_recorder
-
-        return resolve_flight_recorder(self.flight_recorder)
-

@@ -248,8 +248,9 @@ class FaultyComponent:
         The frozen fault probabilities; the private RNG is seeded from
         ``profile.seed`` at construction and on :meth:`reseed`.
     tracer:
-        Optional :class:`repro.obs.Tracer`; every fired fault emits a
-        ``fault.inject`` span carrying the fault kind.
+        The observability stream (:class:`repro.obs.Tracer`); every
+        fired fault publishes a ``fault.inject`` span carrying the fault
+        kind.  ``None`` resolves the environment's stream.
     """
 
     def __init__(self, inner, profile: FaultProfile, *, tracer=None):

@@ -373,31 +373,17 @@ class RobustExecutor:
         policy: RetryPolicy | None = None,
         *,
         tracer=None,
-        flight=None,
-        events=None,
         pool: WorkerPool | None = None,
         clock=time.perf_counter,
         sleep=time.sleep,
     ):
-        from ..obs.flight import NULL_FLIGHT_RECORDER
         from ..obs.tracer import resolve_tracer
 
         self.policy = policy if policy is not None else RetryPolicy()
         self.tracer = resolve_tracer(tracer)
-        self.flight = flight if flight is not None else NULL_FLIGHT_RECORDER
-        # ``events`` is the owning loop's ProgressEmitter-shaped callable
-        # (``events(name, **payload)``); when absent, retry/timeout events
-        # still reach an active flight recorder's ring directly.
-        self._events = events if events else None
         self._pool = pool
         self._clock = clock
         self._sleep = sleep
-
-    def _notify(self, name: str, **payload) -> None:
-        if self._events is not None:
-            self._events(name, **payload)
-        elif self.flight.enabled:
-            self.flight.record(name, **payload)
 
     # ---------------------------------------------------------------- helpers
 
@@ -432,7 +418,7 @@ class RobustExecutor:
             for attempt in range(policy.max_attempts):
                 if attempt:
                     retries += 1
-                    self._notify("test.retry", test=testcase.name, attempt=attempt)
+                    self.tracer.event("test.retry", test=testcase.name, attempt=attempt)
                     pause = policy.delay(testcase.name, attempt - 1)
                     if pause > 0:
                         self._sleep(pause)
@@ -449,12 +435,8 @@ class RobustExecutor:
                 except TestTimeoutError as error:
                     timeouts += 1
                     reason = str(error)
-                    self._notify(
-                        "test.timeout", test=testcase.name, attempt=attempt
-                    )
-                    self.flight.anomaly(
-                        "test_timeout", test=testcase.name, error=str(error)
-                    )
+                    self.tracer.event("test.timeout", test=testcase.name, attempt=attempt)
+                    self.tracer.anomaly("test_timeout", test=testcase.name, error=reason)
                     # Out-of-process components expose ``interrupt()``:
                     # SIGKILL the host so the next attempt starts on a
                     # fresh one (a no-op when the host is already gone).
@@ -519,8 +501,8 @@ class RobustExecutor:
             )
 
         final_reason = reason or "retry budget exhausted"
-        self._notify("test.inconclusive", test=testcase.name, reason=final_reason)
-        self.flight.anomaly(
+        self.tracer.event("test.inconclusive", test=testcase.name, reason=final_reason)
+        self.tracer.anomaly(
             "test_inconclusive",
             test=testcase.name,
             detail=final_reason,
@@ -591,12 +573,9 @@ class RobustExecutor:
 
     def replay_once(self, component, recording, *, port: str = "port") -> ReplayResult:
         """One armed, traced replay (shared by validation and recovery)."""
-        begin = self._clock()
         with self.tracer.span("monitor.replay", steps=len(recording.steps)):
             with self._fault_scope(component):
-                result = replay(component, recording, port=port)
-        self.tracer.metrics.observe("monitor_replay_seconds", self._clock() - begin)
-        return result
+                return replay(component, recording, port=port)
 
     def replay_validated(self, component, recording, *, port: str = "port") -> ReplayResult:
         """Replay with the policy's retry budget (for recovery paths)."""

@@ -23,11 +23,12 @@ from repro import railcab
 from repro.errors import SynthesisError
 from repro.obs import (
     BLACKBOX_ENV,
-    NULL_FLIGHT_RECORDER,
+    NULL_TRACER,
+    TRACE_ENV,
     FlightRecorder,
-    NullFlightRecorder,
     ProgressEvent,
-    resolve_flight_recorder,
+    Tracer,
+    resolve_tracer,
 )
 from repro.obs.flight import BLACKBOX_SCHEMA, environment_fingerprint, settings_fingerprint
 from repro.synthesis import IntegrationSynthesizer, MultiLegacySynthesizer, SynthesisSettings, Verdict
@@ -69,15 +70,21 @@ def _chaos_settings(recorder, seed: int = 7, max_iterations: int = 8) -> Synthes
         max_iterations=max_iterations,
         fault_profile=FaultProfile.hostile(seed),
         retry_policy=RetryPolicy(max_attempts=1, record_rounds=1),
-        flight_recorder=recorder,
+        tracer=Tracer(recorder),
     )
+
+
+def _env_ring(stream) -> FlightRecorder:
+    """The flight recorder among an env stream's sinks."""
+    return next(sink for sink in stream.sinks if isinstance(sink, FlightRecorder))
 
 
 class TestRing:
     def test_record_and_eviction(self):
         recorder = FlightRecorder(capacity=3)
+        stream = Tracer(recorder)
         for index in range(5):
-            recorder.record("iteration.started", iteration=index)
+            stream.event("iteration.started", iteration=index)
         assert len(recorder) == 3
         assert [event["iteration"] for event in recorder.events] == [2, 3, 4]
         # Sequence numbers keep counting across evictions.
@@ -95,59 +102,66 @@ class TestRing:
         assert event["verdict"] == "proven"
 
     def test_null_recorder_is_inert(self, tmp_path):
-        assert NULL_FLIGHT_RECORDER.enabled is False
-        assert isinstance(NULL_FLIGHT_RECORDER, NullFlightRecorder)
-        NULL_FLIGHT_RECORDER.record("x", a=1)
-        NULL_FLIGHT_RECORDER.bind(settings=None)
-        assert NULL_FLIGHT_RECORDER.anomaly("anything", detail=1) is None
+        # The one null object stands in for an unarmed recorder too.
+        assert NULL_TRACER.enabled is False
+        NULL_TRACER.event("x", a=1)
+        NULL_TRACER.bind(settings=None)
+        assert NULL_TRACER.anomaly("anything", detail=1) is None
         assert list(tmp_path.iterdir()) == []
 
 
 class TestResolution:
     def test_default_is_the_null_singleton(self, monkeypatch):
         monkeypatch.delenv(BLACKBOX_ENV, raising=False)
-        assert resolve_flight_recorder() is NULL_FLIGHT_RECORDER
-        assert SynthesisSettings().resolved_flight_recorder() is NULL_FLIGHT_RECORDER
+        monkeypatch.delenv(TRACE_ENV, raising=False)
+        assert resolve_tracer(None) is NULL_TRACER
+        assert resolve_tracer(SynthesisSettings().tracer) is NULL_TRACER
 
     def test_explicit_recorder_wins(self, monkeypatch, tmp_path):
+        # An explicit stream is used exactly as given: the variable adds
+        # no second recorder to it.
         monkeypatch.setenv(BLACKBOX_ENV, str(tmp_path / "env"))
-        mine = FlightRecorder(tmp_path / "mine")
-        assert resolve_flight_recorder(mine) is mine
+        mine = Tracer(FlightRecorder(tmp_path / "mine"))
+        assert resolve_tracer(mine) is mine
+        assert [sink.directory for sink in mine.sinks] == [tmp_path / "mine"]
 
     def test_env_activation_is_cached_per_directory(self, monkeypatch, tmp_path):
         monkeypatch.setenv(BLACKBOX_ENV, str(tmp_path / "a"))
-        first = resolve_flight_recorder()
-        assert isinstance(first, FlightRecorder)
-        assert first.directory == tmp_path / "a"
-        assert resolve_flight_recorder() is first
+        first = resolve_tracer(None)
+        assert _env_ring(first).directory == tmp_path / "a"
+        assert resolve_tracer(None) is first
         monkeypatch.setenv(BLACKBOX_ENV, str(tmp_path / "b"))
-        second = resolve_flight_recorder()
+        second = resolve_tracer(None)
         assert second is not first
-        assert second.directory == tmp_path / "b"
+        assert _env_ring(second).directory == tmp_path / "b"
 
     def test_settings_reject_recorder_without_hooks(self):
-        with pytest.raises(SynthesisError, match="flight_recorder must provide"):
-            SynthesisSettings(flight_recorder=object())
+        with pytest.raises(SynthesisError, match="tracer must provide"):
+            SynthesisSettings(tracer=FlightRecorder())
+        with pytest.raises(TypeError, match="a sink must provide"):
+            Tracer(object())
 
     def test_recorder_does_not_affect_settings_equality(self):
-        assert SynthesisSettings() == SynthesisSettings(flight_recorder=FlightRecorder())
+        assert SynthesisSettings() == SynthesisSettings(tracer=Tracer(FlightRecorder()))
 
 
 class TestDump:
     def test_anomaly_writes_schema_complete_dump(self, tmp_path):
         recorder = FlightRecorder(tmp_path, capacity=8)
-        recorder.bind(settings=SynthesisSettings(max_iterations=5))
-        recorder.record("iteration.started", iteration=0)
-        path = recorder.anomaly("test_timeout", test="probe", attempts=2)
+        stream = Tracer(recorder)
+        stream.bind(settings=SynthesisSettings(max_iterations=5))
+        stream.event("iteration.started", iteration=0)
+        stream.anomaly("test_timeout", test="probe", attempts=2)
+        path = recorder.last_path
         assert path == tmp_path / "blackbox.json"
         assert recorder.dumps == 1
-        assert recorder.last_path == path
         dump = json.loads(path.read_text())
         assert dump["schema"] == BLACKBOX_SCHEMA
         assert dump["reason"] == "test_timeout"
         assert dump["context"] == {"test": "probe", "attempts": 2}
         assert dump["settings"]["max_iterations"] == 5
         assert "flight_recorder" not in dump["settings"]
+        assert "tracer" not in dump["settings"]
         assert dump["events"][-1]["event"] == "anomaly.recorded"
         assert dump["events"][-1]["reason"] == "test_timeout"
         assert dump["payload_digest"]
@@ -158,11 +172,13 @@ class TestDump:
 
     def test_label_names_the_dump_file(self, tmp_path):
         recorder = FlightRecorder(tmp_path, label="seed-12")
-        assert recorder.anomaly("campaign_disagreement") == tmp_path / "blackbox-seed-12.json"
+        Tracer(recorder).anomaly("campaign_disagreement")
+        assert recorder.last_path == tmp_path / "blackbox-seed-12.json"
 
     def test_directoryless_anomaly_still_records(self):
         recorder = FlightRecorder()
-        assert recorder.anomaly("probe", detail=1) is None
+        Tracer(recorder).anomaly("probe", detail=1)
+        assert recorder.last_path is None
         assert recorder.dumps == 1
         assert recorder.events[-1]["event"] == "anomaly.recorded"
         snapshot = recorder.snapshot("probe")
@@ -181,7 +197,7 @@ class TestDump:
 
     def test_settings_fingerprint_skips_plumbing_fields(self):
         fingerprint = settings_fingerprint(
-            SynthesisSettings(flight_recorder=FlightRecorder())
+            SynthesisSettings(tracer=Tracer(FlightRecorder()))
         )
         assert "flight_recorder" not in fingerprint
         assert "tracer" not in fingerprint
@@ -193,7 +209,7 @@ class TestDump:
 class TestLoopIntegration:
     def test_clean_run_records_but_never_dumps(self, tmp_path):
         recorder = FlightRecorder(tmp_path)
-        result = _synthesizer(SynthesisSettings(flight_recorder=recorder)).run()
+        result = _synthesizer(SynthesisSettings(tracer=Tracer(recorder))).run()
         assert result.verdict is Verdict.PROVEN
         assert len(recorder) > 0
         assert recorder.events[-1]["event"] == "verdict.reached"
@@ -258,7 +274,7 @@ IntegrationSynthesizer(
 _REPRO_SCRIPT = """
 import pathlib, sys
 from repro import railcab
-from repro.obs import FlightRecorder
+from repro.obs import FlightRecorder, Tracer
 from repro.synthesis import IntegrationSynthesizer, SynthesisSettings
 from repro.testing import FaultProfile, RetryPolicy
 
@@ -272,7 +288,7 @@ IntegrationSynthesizer(
         max_iterations=6,
         fault_profile=FaultProfile.hostile(11),
         retry_policy=RetryPolicy(max_attempts=1, record_rounds=1),
-        flight_recorder=FlightRecorder(sys.argv[1]),
+        tracer=Tracer(FlightRecorder(sys.argv[1])),
     ),
 ).run()
 """

@@ -203,14 +203,6 @@ class TestMetricsRegistry:
         assert snapshot["count"] == 5 == sum(snapshot["counts"])
         assert snapshot["total"] == pytest.approx(13.000001)
 
-    def test_null_registry_records_nothing(self):
-        from repro.obs import NULL_METRICS
-
-        NULL_METRICS.inc("c")
-        NULL_METRICS.set_gauge("g", 1)
-        NULL_METRICS.observe("h", 1.0)
-        assert NULL_METRICS.as_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
-
 
 class TestRecordPlumbing:
     def test_publish_record_accumulates(self, tiny_record=None):
@@ -299,7 +291,11 @@ class TestTracer:
 
     def test_streaming_sink_retains_nothing(self):
         seen = []
-        tracer = Tracer(sink=seen.append)
+
+        class SpanSink:
+            on_span = seen.append
+
+        tracer = Tracer(SpanSink())
         with tracer.span("s"):
             pass
         assert tracer.spans == ()
@@ -328,9 +324,10 @@ class TestNullTracer:
         assert NullTracer().wrap("name")(function) is function
 
     def test_resolve_without_env_is_null(self, monkeypatch):
-        from repro.obs.tracer import TRACE_ENV
+        from repro.obs.tracer import BLACKBOX_ENV, TRACE_ENV
 
         monkeypatch.delenv(TRACE_ENV, raising=False)
+        monkeypatch.delenv(BLACKBOX_ENV, raising=False)
         assert resolve_tracer(None) is NULL_TRACER
 
     def test_resolve_prefers_explicit(self, monkeypatch):
@@ -349,6 +346,33 @@ class TestNullTracer:
         with pytest.raises(SynthesisError, match=f"{TRACE_FORMAT_ENV}.*'xml'"):
             resolve_tracer(None)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "variable, existing",
+        [("REPRO_TRACE", "directory"), ("REPRO_BLACKBOX", "file")],
+    )
+    def test_bad_env_path_is_a_synthesis_error_before_the_loop(
+        self, monkeypatch, tmp_path, variable, existing
+    ):
+        # A trace file that is a directory, or a blackbox directory that
+        # is a file, fails at construction with the variable's name —
+        # never mid-run with an OSError at the first span or anomaly.
+        target = tmp_path / "target"
+        if existing == "directory":
+            target.mkdir()
+        else:
+            target.write_text("")
+        for name in ("REPRO_TRACE", "REPRO_TRACE_FORMAT", "REPRO_BLACKBOX"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(variable, str(target))
+        with pytest.raises(SynthesisError, match=variable):
+            IntegrationSynthesizer(
+                railcab.front_role_automaton(),
+                railcab.correct_rear_shuttle(convoy_ticks=1),
+                railcab.PATTERN_CONSTRAINT,
+                labeler=railcab.rear_state_labeler,
+                port="rearRole",
+            )
 
 
 class TestSettingsIntegration:

@@ -1,4 +1,4 @@
-"""Live progress events: name contract, emitter fan-out, the sinks.
+"""Live progress events: name contract, the stream's fan-out, the sinks.
 
 Progress-event names and payload fields are a stable contract exactly
 like span names (``docs/observability.md``): a service streaming
@@ -19,23 +19,25 @@ from repro.errors import SynthesisError
 from repro.obs import (
     PROGRESS_EVENT_NAMES,
     CallbackProgressSink,
+    FlightRecorder,
     JsonlProgressSink,
-    ProgressEmitter,
     ProgressEvent,
+    Tracer,
     TtyProgressSink,
 )
 from repro.synthesis import IntegrationSynthesizer, SynthesisSettings, Verdict
 from repro.synthesis.multi import MultiLegacySynthesizer
+from repro.testing import FaultProfile, RetryPolicy
 
 
-def _run_with_sink(sink, **settings_kwargs):
+def _run_with_sink(*sinks, **settings_kwargs):
     result = IntegrationSynthesizer(
         railcab.front_role_automaton(),
         railcab.correct_rear_shuttle(convoy_ticks=1),
         railcab.PATTERN_CONSTRAINT,
         labeler=railcab.rear_state_labeler,
         port="rearRole",
-        settings=SynthesisSettings(progress=sink, **settings_kwargs),
+        settings=SynthesisSettings(tracer=Tracer(*sinks), **settings_kwargs),
     ).run()
     return result
 
@@ -126,7 +128,7 @@ class TestEventContract:
                 "frontShuttle": railcab.front_state_labeler,
                 "rearShuttle": railcab.rear_state_labeler,
             },
-            settings=SynthesisSettings(progress=CallbackProgressSink(events.append)),
+            settings=SynthesisSettings(tracer=Tracer(CallbackProgressSink(events.append))),
         ).run()
         assert result.verdict is Verdict.PROVEN
         assert {e.name for e in events} <= PROGRESS_EVENT_NAMES
@@ -137,22 +139,16 @@ class TestEventContract:
 
 
 class TestEmitter:
-    def test_empty_emitter_is_falsy_and_inert(self):
-        emitter = ProgressEmitter()
-        assert not emitter
-        emitter.emit("iteration.started", iteration=0)  # must not raise
+    """The stream's event fan-out (``Tracer.event``)."""
 
     def test_fan_out_shares_one_sequence(self):
         left: list[ProgressEvent] = []
         right: list[ProgressEvent] = []
-        emitter = ProgressEmitter(
-            CallbackProgressSink(left.append), CallbackProgressSink(right.append)
-        )
-        assert emitter
-        emitter.emit("loop.started", synthesizer="x")
-        emitter.emit("verdict.reached", verdict="proven")
+        stream = Tracer(CallbackProgressSink(left.append), CallbackProgressSink(right.append))
+        stream.event("loop.started", synthesizer="x")
+        stream.event("verdict.reached", verdict="proven")
         assert [e.seq for e in left] == [0, 1]
-        assert left == right  # the same event objects reach every observer
+        assert left == right  # the same event objects reach every sink
         assert left[0] is right[0]
 
     def test_none_and_disabled_observers_are_dropped(self):
@@ -162,7 +158,9 @@ class TestEmitter:
             def emit(self, event):  # pragma: no cover - must never run
                 raise AssertionError("disabled observer received an event")
 
-        assert not ProgressEmitter(None, Disabled())
+        stream = Tracer(None, Disabled())
+        assert stream.sinks == ()
+        stream.event("iteration.started", iteration=0)  # must not raise
 
     def test_callback_sink_requires_callable(self):
         with pytest.raises(TypeError, match="callable"):
@@ -172,9 +170,52 @@ class TestEmitter:
         def broken(event):
             raise RuntimeError("consumer died")
 
-        emitter = ProgressEmitter(CallbackProgressSink(broken))
+        stream = Tracer(CallbackProgressSink(broken))
         with pytest.raises(RuntimeError, match="consumer died"):
-            emitter.emit("loop.started")
+            stream.event("loop.started")
+
+
+class TestOneStream:
+    """Every sink on a stream sees the same sequenced events, once each."""
+
+    def test_anomalies_reach_progress_sinks_in_ring_order(self):
+        # A hostile chaos run: every faulted test stays inconclusive, so
+        # anomalies (quarantine admissions, inconclusive escalations,
+        # the exhausted budget) interleave with the loop's events.
+        events: list[ProgressEvent] = []
+        ring = FlightRecorder(capacity=4096)
+        result = _run_with_sink(
+            CallbackProgressSink(events.append),
+            ring,
+            max_iterations=8,
+            fault_profile=FaultProfile.hostile(7),
+            retry_policy=RetryPolicy(max_attempts=1, record_rounds=1),
+        )
+        assert result.verdict is Verdict.BUDGET_EXCEEDED
+        assert [(e["seq"], e["event"]) for e in ring.events] == [
+            (e.seq, e.name) for e in events
+        ]
+        anomalies = [e for e in events if e.name == "anomaly.recorded"]
+        assert len(anomalies) > 1
+        assert anomalies[-1].payload["reason"] == "budget_exceeded"
+
+    def test_sink_given_twice_receives_each_event_once(self):
+        once: list[ProgressEvent] = []
+        _run_with_sink(CallbackProgressSink(once.append))
+        ring = FlightRecorder(capacity=4096)
+        stream = Tracer(ring, ring)
+        assert stream.sinks == (ring,)
+        IntegrationSynthesizer(
+            railcab.front_role_automaton(),
+            railcab.correct_rear_shuttle(convoy_ticks=1),
+            railcab.PATTERN_CONSTRAINT,
+            labeler=railcab.rear_state_labeler,
+            port="rearRole",
+            settings=SynthesisSettings(tracer=stream),
+        ).run()
+        assert [entry["event"] for entry in ring.events] == [event.name for event in once]
+        seqs = [entry["seq"] for entry in ring.events]
+        assert seqs == list(range(len(seqs)))
 
 
 class TestSinks:
@@ -225,10 +266,10 @@ class TestSinks:
 
 class TestSettingsValidation:
     def test_progress_must_have_emit(self):
-        with pytest.raises(SynthesisError, match="progress must provide emit"):
-            SynthesisSettings(progress=42)
+        with pytest.raises(TypeError, match="a sink must provide"):
+            Tracer(42)
 
     def test_progress_does_not_affect_equality(self):
         plain = SynthesisSettings()
-        sinked = SynthesisSettings(progress=CallbackProgressSink(lambda e: None))
+        sinked = SynthesisSettings(tracer=Tracer(CallbackProgressSink(lambda e: None)))
         assert plain == sinked

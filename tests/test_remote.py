@@ -127,13 +127,17 @@ def outcome_tuple(outcome):
 
 
 class EventLog:
-    """Captures ``component.*`` notifications from a RemoteComponent."""
+    """A sink capturing a RemoteComponent's ``component.*`` events and spans."""
 
     def __init__(self):
         self.events = []
+        self.spans = []
 
-    def __call__(self, name, /, **payload):
-        self.events.append((name, payload))
+    def emit(self, event):
+        self.events.append((event.name, event.payload))
+
+    def on_span(self, span):
+        self.spans.append(span)
 
     def names(self):
         return [name for name, _ in self.events]
@@ -582,20 +586,17 @@ class TestRemoteComponentParity:
             )
 
     def test_spawn_emits_event_and_span(self):
-        tracer = Tracer()
         log = EventLog()
-        with rehost(
-            server_component(), remote_policy(), tracer=tracer, events=log
-        ) as remote:
+        with rehost(server_component(), remote_policy(), tracer=Tracer(log)) as remote:
             remote.step(frozenset({"ping"}))
         assert log.names() == ["component.spawn"]
-        assert "component.spawn" in {span.name for span in tracer.spans}
+        assert "component.spawn" in {span.name for span in log.spans}
 
 
 class TestRemoteComponentFailures:
     def test_death_between_operations_surfaces_exactly_once(self):
         log = EventLog()
-        with rehost(server_component(), remote_policy(), events=log) as remote:
+        with rehost(server_component(), remote_policy(), tracer=Tracer(log)) as remote:
             remote.step(frozenset({"ping"}))
             os.kill(remote.pid, signal.SIGKILL)
             remote._process.wait(timeout=10)
@@ -629,7 +630,7 @@ class TestRemoteComponentFailures:
             server_component(),
             remote_policy(step_deadline=0.4),
             fault_profile=profile,
-            events=log,
+            tracer=Tracer(log),
         ) as remote:
             assert remote.fault_injection_active
             import time
@@ -787,7 +788,7 @@ class TestRemoteComponentFailures:
         log = EventLog()
         recording = execute_test(server_component(), make_case()).recording
         op = "execute" if key == "verdict" else "replay"
-        with rehost(server_component(), remote_policy(), events=log) as remote:
+        with rehost(server_component(), remote_policy(), tracer=Tracer(log)) as remote:
             real_receive = FrameChannel.receive
 
             def garbled_receive(channel, timeout=None):
@@ -805,7 +806,7 @@ class TestRemoteComponentFailures:
 
     def test_protocol_violation_kills_host_and_emits_event(self):
         log = EventLog()
-        with rehost(server_component(), remote_policy(), events=log) as remote:
+        with rehost(server_component(), remote_policy(), tracer=Tracer(log)) as remote:
             with pytest.raises(RemoteProtocolError, match="unknown operation"):
                 remote._call({"op": "transmogrify"})
             assert not remote.alive
@@ -1071,7 +1072,7 @@ class TestLoopIntegration:
             synthesizer = _convoy(
                 SynthesisSettings(
                     remote=remote_policy(),
-                    progress=CallbackProgressSink(killer),
+                    tracer=Tracer(CallbackProgressSink(killer)),
                 )
             )
             state["synth"] = synthesizer

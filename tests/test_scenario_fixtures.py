@@ -21,7 +21,7 @@ import pathlib
 import pytest
 
 from repro.logic.formulas import conjunction
-from repro.obs.flight import NULL_FLIGHT_RECORDER
+from repro.obs import NULL_TRACER
 from repro.synthesis.multi import MultiLegacySynthesizer
 from repro.synthesis.settings import SynthesisSettings
 from repro.testing import (
@@ -96,7 +96,7 @@ def test_chaos_silent_reset_fixture_degrades_soundly(synthesizer):
         # No blackbox: it would rewrite a multi-megabyte dump at each of
         # these runs' many anomalies, and a failure replays from its seed.
         settings = SynthesisSettings(
-            fault_profile=FaultProfile.mild(fault_seed), flight_recorder=NULL_FLIGHT_RECORDER
+            fault_profile=FaultProfile.mild(fault_seed), tracer=NULL_TRACER
         )
         if synthesizer == "multi":
             (name,) = scenario.architecture.legacy_placements

@@ -41,8 +41,6 @@ class TestSynthesisSettings:
             "fault_profile",
             "remote",
             "tracer",
-            "flight_recorder",
-            "progress",
         ]
 
     def test_frozen(self):

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
@@ -48,7 +47,7 @@ from repro.testing import (  # noqa: E402
     shrink_scenario,
     spec_fingerprint,
 )
-from repro.obs import BLACKBOX_ENV, FlightRecorder  # noqa: E402
+from repro.obs import FlightRecorder, Tracer, env_sinks  # noqa: E402
 from repro.testing.shrink import disagreement_predicate  # noqa: E402
 
 
@@ -62,12 +61,13 @@ def dump_blackbox(directory, scenario, evaluation, record) -> pathlib.Path | Non
     ``--only-seed`` and diff against a healthy run.
     """
     recorder = FlightRecorder(directory, label=f"seed-{scenario.spec.seed}")
-    recorder.record("campaign.scenario", **{
+    stream = Tracer(recorder)
+    stream.event("campaign.scenario", **{
         key: record[key] for key in ("seed", "fingerprint", "slots", "joint", "plants")
     })
     for entry in evaluation.disagreements:
-        recorder.record("campaign.disagreement", entry=entry)
-    return recorder.anomaly(
+        stream.event("campaign.disagreement", entry=entry)
+    stream.anomaly(
         "campaign_disagreement",
         seed=scenario.spec.seed,
         fingerprint=record["fingerprint"],
@@ -75,6 +75,7 @@ def dump_blackbox(directory, scenario, evaluation, record) -> pathlib.Path | Non
         degraded=list(evaluation.degraded),
         truth=record["truth"],
     )
+    return recorder.last_path
 
 
 def write_fixture(spec, disagreements, directory: pathlib.Path) -> pathlib.Path:
@@ -134,9 +135,10 @@ def main(argv: "list[str] | None" = None) -> int:
     arguments = parser.parse_args(argv)
     blackbox_dir = arguments.blackbox
     if blackbox_dir is None:
-        env_dir = os.environ.get(BLACKBOX_ENV, "").strip()
-        if env_dir:
-            blackbox_dir = pathlib.Path(env_dir)
+        # $REPRO_BLACKBOX, checked by the one env resolver; the campaign
+        # labels its own per-seed recorders in that directory.
+        for ring in env_sinks(trace=False):
+            blackbox_dir = ring.directory
 
     if arguments.only_seed is not None:
         seeds = [arguments.only_seed]
