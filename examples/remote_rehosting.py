@@ -16,7 +16,8 @@ runs the RailCab rear shuttle behind the supervised subprocess ABI
 3. SIGKILL the host mid-synthesis (``kill -9`` chaos) — the loop
    recovers through the crash-fault path and still proves the
    property, and no murdered process ever manufactures a violation;
-4. lease warm instances from a pre-forked pool.
+4. rehost back to back: from the second generic launch on, each one
+   leases the warm spare host the previous launch started.
 
 Run with::
 
@@ -26,10 +27,11 @@ Run with::
 import dataclasses
 import os
 import signal
+import time
 
 from repro import railcab
 from repro.errors import TestTimeoutError
-from repro.legacy.remote import InstancePool, RemotePolicy, rehost
+from repro.legacy.remote import RemoteComponent, RemotePolicy, rehost
 from repro.obs import CallbackProgressSink, Tracer, env_sinks
 from repro.synthesis import IntegrationSynthesizer, SynthesisSettings, Verdict, summarize
 from repro.testing import FaultKind, FaultProfile
@@ -108,14 +110,27 @@ def main() -> None:
     print(summarize(survived))
     print(f"host lifecycle: {chaos_loop.component.remote_stats}")
 
-    banner("4. Warm instances from the pre-forked pool")
-    with InstancePool(railcab.correct_rear_shuttle(convoy_ticks=1), size=2) as pool:
-        for lease in range(3):
-            with pool.lease() as instance:
-                outcome = instance.step(frozenset())
-                print(f"lease {lease}: pid {instance.pid} stepped -> {sorted(outcome.outputs)}")
-        print(f"pool gauges: {pool.stats}")
-        assert pool.stats["pool_spawns"] == 2  # every lease reused a warm host
+    banner("4. Back-to-back rehosts lease the warm spare host")
+    # Each launch from the second on leases the spare the previous one
+    # started and starts the next; every host still serves one component.
+    # A factory-served host never leases the spare: it shows a cold start.
+    start = time.perf_counter()
+    with RemoteComponent("repro.railcab:correct_rear_shuttle") as cold:
+        cold_handshake = time.perf_counter() - start
+        print(f"cold factory host: pid {cold.pid}, handshake {cold_handshake * 1e3:.1f}ms")
+    pids = []
+    for launch in range(3):
+        time.sleep(1.0)  # the caller's own work: the spare warms meanwhile
+        start = time.perf_counter()
+        with rehost(railcab.correct_rear_shuttle(convoy_ticks=1)) as instance:
+            handshake = time.perf_counter() - start
+            outcome = instance.step(frozenset())
+            pids.append(instance.pid)
+            print(
+                f"rehost {launch}: pid {instance.pid}, handshake {handshake * 1e3:.1f}ms "
+                f"({handshake / cold_handshake:.3f}x cold), stepped -> {sorted(outcome.outputs)}"
+            )
+    assert len(set(pids)) == len(pids)  # a host is never reused
 
 
 if __name__ == "__main__":

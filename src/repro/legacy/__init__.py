@@ -7,7 +7,7 @@ probe-effect model for live monitoring.
 
 :mod:`repro.legacy.remote` moves the same contract out of process: a
 supervised subprocess host behind a length-prefixed frame protocol,
-with real (kill-based) deadlines and a pre-forked instance pool.
+with real (kill-based) deadlines and one warm spare host.
 """
 
 from .component import Instrumentation, LegacyComponent, StepOutcome
@@ -23,7 +23,6 @@ _REMOTE_NAMES = frozenset(
         "RemoteComponent",
         "RemotePolicy",
         "ComponentHost",
-        "InstancePool",
         "rehost",
         "resolve_remote",
         "REMOTE_PROTOCOL_VERSION",
@@ -53,7 +52,6 @@ __all__ = [
     "RemoteComponent",
     "RemotePolicy",
     "ComponentHost",
-    "InstancePool",
     "rehost",
     "resolve_remote",
     "REMOTE_PROTOCOL_VERSION",

@@ -40,7 +40,7 @@ bit-consistent with an in-process run.  The core operations:
     host (``--serve -``), forward instrumentation and fault-arming
     scopes (so seed-driven fault schedules consume RNG draws
     bit-identically across the wire), restart the fault schedule, and
-    health-check pooled instances.
+    health-check a host without side effects.
 
 Supervision
 -----------
@@ -70,16 +70,27 @@ anomaly that makes a flight recorder dump its blackbox.  A dead host
 respawns lazily on the next use, replaying the proxy's instrumentation
 and arming scopes first.
 
-:class:`InstancePool` keeps a bounded set of pre-forked warm hosts with
-health-checked reuse, so workloads that need a fresh instance per run
-skip the ~hundreds-of-milliseconds interpreter start.
+Warm spare host
+---------------
+
+Starting a host (interpreter, ``import repro``) costs far more than the
+``load``/``hello`` handshake.  A generic host (``--serve -``) learns its
+component only from the ``load`` frame, so the driver keeps one such
+host started ahead of need: from the second generic launch in a
+process onward, each launch leases the spare and at once starts its
+replacement, which imports ``repro`` while the loop runs.  A spare is
+leased only when the interpreter, the host environment, the stderr
+target and the owning process all match the launch; otherwise it is
+killed and reaped silently and the launch starts cold.  A host still
+serves exactly one :class:`RemoteComponent` and is never reused.
 
 See ``docs/remote.md`` for the frame grammar, the supervision state
-machine, and pool sizing guidance.
+machine, and the warm spare's rules and cost.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import select
@@ -120,7 +131,6 @@ __all__ = [
     "FrameChannel",
     "ComponentHost",
     "RemoteComponent",
-    "InstancePool",
     "rehost",
     "rehost_payload",
     "interface_to_wire",
@@ -810,14 +820,10 @@ class RemotePolicy:
         outside).
     spawn_timeout:
         Bound on process start plus the ``load``/``hello`` handshake.
-    pool_size:
-        Default bound for :class:`InstancePool` (number of warm hosts
-        kept alive between leases).
     """
 
     step_deadline: float | None = 5.0
     spawn_timeout: float = 30.0
-    pool_size: int = 2
 
     def __post_init__(self) -> None:
         if self.step_deadline is not None and self.step_deadline <= 0:
@@ -826,8 +832,6 @@ class RemotePolicy:
             )
         if self.spawn_timeout <= 0:
             raise SynthesisError(f"spawn_timeout must be positive, got {self.spawn_timeout!r}")
-        if not isinstance(self.pool_size, int) or isinstance(self.pool_size, bool) or self.pool_size < 1:
-            raise SynthesisError(f"pool_size must be a positive integer, got {self.pool_size!r}")
 
 
 def resolve_remote(value) -> RemotePolicy | None:
@@ -859,14 +863,97 @@ def resolve_remote(value) -> RemotePolicy | None:
     )
 
 
+# -------------------------------------------------------------------- hosts
+
+
+def _popen_host(command: list[str], env: dict) -> subprocess.Popen:
+    return subprocess.Popen(
+        command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, close_fds=True
+    )
+
+
+def _stderr_target() -> tuple[int, int] | None:
+    """The file a host started now inherits as stderr (device, inode)."""
+    try:
+        info = os.fstat(2)
+    except OSError:
+        return None
+    return info.st_dev, info.st_ino
+
+
+def _reap_process(process: subprocess.Popen) -> None:
+    """Close a host's pipes and wait for it to exit."""
+    for stream in (process.stdin, process.stdout):
+        try:
+            if stream is not None:
+                stream.close()
+        except OSError:
+            pass
+    try:
+        process.wait(timeout=5)
+    except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL always lands
+        pass
+
+
+def _discard(process: subprocess.Popen) -> None:
+    """Kill and reap a spare no launch will use: no error, no anomaly."""
+    try:
+        process.kill()
+    except OSError:  # pragma: no cover - raced with exit
+        pass
+    _reap_process(process)
+
+
+#: The warm spare generic host, ``(launch key, process)``, or ``None``.
+_spare: tuple[tuple, subprocess.Popen] | None = None
+_spare_lock = threading.Lock()
+#: Generic launches in this process; the second one starts the first spare.
+_generic_launches = 0
+
+
+def _generic_host(command: list[str], env: dict) -> subprocess.Popen:
+    """The process for one generic (``--serve -``) launch.
+
+    From the second generic launch onward, take the warm spare and start
+    its replacement at once, so the replacement imports ``repro`` while
+    the caller works.  A spare started for another interpreter,
+    environment, stderr target or process, or one that has exited, is
+    discarded, and the launch starts a host cold.
+    """
+    global _spare, _generic_launches
+    key = (tuple(command), tuple(sorted(env.items())), _stderr_target(), os.getpid())
+    with _spare_lock:
+        _generic_launches += 1
+        spare, _spare = _spare, None
+        if _generic_launches >= 2:
+            _spare = (key, _popen_host(command, env))
+    if spare is not None:
+        spare_key, process = spare
+        if spare_key == key and process.poll() is None:
+            return process
+        _discard(process)
+    return _popen_host(command, env)
+
+
+@atexit.register
+def _discard_spare() -> None:
+    """Kill and reap the spare when the driver exits."""
+    global _spare
+    with _spare_lock:
+        spare, _spare = _spare, None
+    if spare is not None:
+        _discard(spare[1])
+
+
 # -------------------------------------------------------------------- proxy
 
 
 class RemoteComponent:
     """A supervised subprocess proxy satisfying the component contract.
 
-    Spawns ``python -m repro.legacy.remote --serve <spec>`` (or the
-    generic ``-`` host fed by a ``load`` frame), performs the ``hello``
+    Spawns ``python -m repro.legacy.remote --serve <spec>`` (or leases
+    the warm spare generic ``-`` host, fed by a ``load`` frame, and
+    spawns one when none fits), performs the ``hello``
     handshake, and forwards every contract operation — and every whole
     test execution and replay — as one frame round-trip under
     :class:`RemotePolicy` deadlines.  The black-box
@@ -930,13 +1017,9 @@ class RemoteComponent:
         src = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH", "")
         env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-        self._process = subprocess.Popen(
-            command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=env,
-            close_fds=True,
-        )
+        # Factory-served hosts know their component at start: always cold.
+        spawn = _popen_host if self._spec is not None else _generic_host
+        self._process = spawn(command, env)
         self._channel = FrameChannel(
             self._process.stdout.fileno(), self._process.stdin.fileno()
         )
@@ -988,18 +1071,8 @@ class RemoteComponent:
         process = self._process
         self._process = None
         self._channel = None
-        if process is None:
-            return
-        for stream in (process.stdin, process.stdout):
-            try:
-                if stream is not None:
-                    stream.close()
-            except OSError:
-                pass
-        try:
-            process.wait(timeout=5)
-        except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL always lands
-            pass
+        if process is not None:
+            _reap_process(process)
 
     def _kill(self, reason: str, **context) -> None:
         """SIGKILL the host (if alive), reap it, and record the anomaly."""
@@ -1079,7 +1152,7 @@ class RemoteComponent:
         return self._process is not None and self._process.poll() is None
 
     def ping(self) -> bool:
-        """Health-check without side effects (used by the pool)."""
+        """Health-check without side effects."""
         with self._lock:
             if self._closed or not self.alive:
                 return False
@@ -1421,152 +1494,6 @@ class RemoteComponent:
             f"RemoteComponent(name={self.name!r}, pid={self.pid}, "
             f"alive={self.alive}, fault_active={self._fault_active})"
         )
-
-
-# --------------------------------------------------------------------- pool
-
-
-class InstancePool:
-    """A bounded pool of pre-forked, warm component hosts.
-
-    Spawning a host costs a full interpreter start (hundreds of
-    milliseconds); re-leasing a warm one costs a ``ping`` plus a
-    ``reset`` (well under a millisecond).  The pool pre-forks
-    ``size`` hosts up front, health-checks each instance on
-    :meth:`acquire` (a dead host is discarded and replaced lazily —
-    counted in ``pool_respawns``), and :meth:`release` resets a healthy
-    instance back into the free list, killing it instead when the pool
-    is already full.
-
-    Gauges (``pool_size``, ``pool_respawns``, ``pool_kills``, plus
-    ``pool_spawns``/``pool_reuses``) publish through
-    :meth:`publish_to` into a :class:`repro.obs.MetricsRegistry`.
-    """
-
-    def __init__(
-        self,
-        source,
-        *,
-        size: int | None = None,
-        policy: RemotePolicy | None = None,
-        fault_profile=None,
-        tracer=None,
-    ):
-        self.policy = policy if policy is not None else RemotePolicy()
-        self.size = size if size is not None else self.policy.pool_size
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
-            raise SynthesisError(f"pool size must be a positive integer, got {self.size!r}")
-        if isinstance(source, str):
-            self._spec: str | None = source
-            self._payload: dict | None = None
-            if fault_profile is not None:
-                raise SynthesisError(
-                    "fault_profile only applies to rehosted components; "
-                    "factory-served hosts arm faults via --fault-seed / REPRO_FAULT_SEED"
-                )
-        else:
-            self._spec = None
-            self._payload = rehost_payload(source, fault_profile)
-        self._tracer = tracer
-        self._lock = threading.Lock()
-        self._closed = False
-        self._leased: set[RemoteComponent] = set()
-        self.pool_spawns = 0
-        self.pool_reuses = 0
-        self.pool_respawns = 0
-        self.pool_kills = 0
-        self._free: list[RemoteComponent] = [self._spawn() for _ in range(self.size)]
-
-    def _spawn(self) -> RemoteComponent:
-        self.pool_spawns += 1
-        return RemoteComponent(
-            self._spec,
-            payload=self._payload,
-            policy=self.policy,
-            tracer=self._tracer,
-        )
-
-    def acquire(self) -> RemoteComponent:
-        """Lease a healthy instance, replacing dead ones lazily."""
-        with self._lock:
-            if self._closed:
-                raise SynthesisError("the instance pool is closed")
-            while self._free:
-                instance = self._free.pop()
-                if instance.ping():
-                    self.pool_reuses += 1
-                    self._leased.add(instance)
-                    return instance
-                # Health check failed: the warm host died while idle.
-                instance.close()
-                self.pool_kills += 1
-                self.pool_respawns += 1
-            instance = self._spawn()
-            self._leased.add(instance)
-            return instance
-
-    def release(self, instance: RemoteComponent) -> None:
-        """Return a lease; unhealthy or surplus instances are killed."""
-        with self._lock:
-            self._leased.discard(instance)
-            if not self._closed and len(self._free) < self.size and instance.alive:
-                try:
-                    instance.reset()
-                except (ExecutionError, TestTimeoutError):
-                    instance.close()
-                    self.pool_kills += 1
-                    return
-                self._free.append(instance)
-                return
-            if instance.alive:
-                self.pool_kills += 1
-            instance.close()
-
-    @contextmanager
-    def lease(self):
-        """``with pool.lease() as component: ...`` acquire/release scope."""
-        instance = self.acquire()
-        try:
-            yield instance
-        finally:
-            self.release(instance)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for instance in (*self._free, *self._leased):
-                instance.close()
-            self._free = []
-            self._leased = set()
-
-    def __enter__(self) -> "InstancePool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    @property
-    def warm(self) -> int:
-        """Instances currently idle in the free list."""
-        return len(self._free)
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """The pool gauges (stable names, pinned by contract tests)."""
-        return {
-            "pool_size": len(self._free) + len(self._leased),
-            "pool_spawns": self.pool_spawns,
-            "pool_reuses": self.pool_reuses,
-            "pool_respawns": self.pool_respawns,
-            "pool_kills": self.pool_kills,
-        }
-
-    def publish_to(self, registry) -> None:
-        """Set the pool gauges on a :class:`repro.obs.MetricsRegistry`."""
-        for name, value in self.stats.items():
-            registry.set_gauge(name, value)
 
 
 # ------------------------------------------------------------------ rehost

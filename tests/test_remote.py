@@ -1,4 +1,4 @@
-"""Out-of-process components: wire protocol, supervision, pool, parity.
+"""Out-of-process components: wire protocol, supervision, warm spare, parity.
 
 Covers :mod:`repro.legacy.remote` at every layer: frame encoding over
 raw pipes, the in-process :class:`ComponentHost` dispatch table, the
@@ -6,14 +6,17 @@ raw pipes, the in-process :class:`ComponentHost` dispatch table, the
 :class:`RemoteComponent` failure taxonomy — crash → respawn, deadline →
 SIGKILL, garbage → protocol violation — host-side seed-reproducible
 fault injection, the kill ``-9`` soundness guarantee (a murdered host
-never manufactures a verdict), the warm :class:`InstancePool`, and the
+never manufactures a verdict), the warm spare generic host, and the
 acceptance pin: the convoy workload under ``remote=True`` is
 bit-identical, record by record, to in-process execution.
 """
 
+import contextlib
 import dataclasses
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -41,7 +44,6 @@ from repro.legacy.remote import (
     REMOTE_PROTOCOL_VERSION,
     ComponentHost,
     FrameChannel,
-    InstancePool,
     RemoteComponent,
     RemotePolicy,
     _DeadlineExpired,
@@ -817,7 +819,7 @@ class TestRemoteComponentFailures:
             remote.reset()  # quiet respawn: the violation was surfaced
             assert remote.alive
 
-    def test_version_mismatch_fails_construction_fast(self, monkeypatch):
+    def test_version_mismatch_fails_construction_fast(self, monkeypatch, spare_module):
         from repro.legacy import remote as remote_module
 
         real_popen = remote_module.subprocess.Popen
@@ -862,16 +864,6 @@ class TestEventAndStatNames:
                 "component_spawns",
                 "component_kills",
                 "component_respawns",
-            }
-
-    def test_pool_stats_names_are_pinned(self):
-        with InstancePool(server_component(), size=1, policy=remote_policy()) as pool:
-            assert set(pool.stats) == {
-                "pool_size",
-                "pool_spawns",
-                "pool_reuses",
-                "pool_respawns",
-                "pool_kills",
             }
 
 
@@ -1084,77 +1076,159 @@ class TestLoopIntegration:
             assert result.verdict is Verdict.PROVEN, kill_at
 
 
-# ----------------------------------------------------------------- pool
+# ------------------------------------------------------------ warm spare
 
 
-class TestInstancePool:
-    def test_prefork_reuse_and_release_cycle(self):
-        with InstancePool(server_component(), size=2, policy=remote_policy()) as pool:
-            assert pool.warm == 2 and pool.stats["pool_spawns"] == 2
-            with pool.lease() as component:
-                assert component.ping()
-                component.step(frozenset({"ping"}))
-                assert pool.warm == 1
-            assert pool.warm == 2  # released back, reset
-            with pool.lease() as component:
-                # Reset on release: the run position is rewound (the
-                # cumulative black-box counters keep counting).
-                assert component.period == 0 and component.resets == 1
-            assert pool.stats["pool_reuses"] == 2
-            assert pool.stats["pool_kills"] == 0
+@pytest.fixture
+def spare_module(monkeypatch):
+    """:mod:`repro.legacy.remote` with no spare and no generic launch yet."""
+    from repro.legacy import remote as remote_module
 
-    def test_dead_idle_instance_is_replaced(self):
-        with InstancePool(server_component(), size=2, policy=remote_policy()) as pool:
-            victim = pool._free[-1]  # acquired first (LIFO)
-            os.kill(victim.pid, signal.SIGKILL)
-            victim._process.wait(timeout=10)
-            leased = pool.acquire()
-            try:
-                assert leased is not victim
-                assert leased.ping()
-            finally:
-                pool.release(leased)
-            stats = pool.stats
-            assert stats["pool_kills"] == 1 and stats["pool_respawns"] == 1
-            assert stats["pool_reuses"] == 1
+    remote_module._discard_spare()
+    monkeypatch.setattr(remote_module, "_generic_launches", 0)
+    yield remote_module
+    remote_module._discard_spare()
 
-    def test_exhausted_pool_spawns_and_surplus_release_kills(self):
-        with InstancePool(server_component(), size=1, policy=remote_policy()) as pool:
-            first = pool.acquire()
-            second = pool.acquire()  # beyond the warm set: cold spawn
-            assert pool.stats["pool_spawns"] == 2
-            pool.release(first)
-            pool.release(second)  # free list full: surplus is killed
-            assert pool.warm == 1
-            assert pool.stats["pool_kills"] == 1
-            assert not second.alive
 
-    def test_gauges_publish_to_a_metrics_registry(self):
-        registry = MetricsRegistry()
-        with InstancePool(server_component(), size=1, policy=remote_policy()) as pool:
-            pool.publish_to(registry)
-            assert registry.gauge("pool_size").value == 1
-            assert registry.gauge("pool_spawns").value == 1
-            assert registry.gauge("pool_respawns").value == 0
-            assert registry.gauge("pool_kills").value == 0
+def spare_process(remote_module):
+    assert remote_module._spare is not None
+    return remote_module._spare[1]
 
-    def test_closed_pool_refuses_leases(self):
-        pool = InstancePool(server_component(), size=1, policy=remote_policy())
-        pool.close()
-        with pytest.raises(SynthesisError, match="closed"):
-            pool.acquire()
-        pool.close()  # idempotent
 
-    def test_fault_profile_with_factory_spec_is_refused(self):
-        with pytest.raises(SynthesisError, match="fault_profile"):
-            InstancePool(
-                "repro.railcab:correct_rear_shuttle",
-                fault_profile=FaultProfile.mild(1),
+def launch_twice(stack):
+    """Two generic launches: the second starts the first spare."""
+    return [stack.enter_context(rehost(server_component(), remote_policy())) for _ in range(2)]
+
+
+def host_running(pid: int) -> bool:
+    """Is ``pid`` a live (not zombie) process?  Reads procfs."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestWarmSpare:
+    def test_second_and_third_launches_get_distinct_fresh_hosts(self, spare_module):
+        with contextlib.ExitStack() as stack:
+            first = stack.enter_context(rehost(server_component(), remote_policy()))
+            assert spare_module._spare is None  # a one-shot run starts no spare
+            second = stack.enter_context(rehost(server_component(), remote_policy()))
+            started = spare_process(spare_module)
+            third = stack.enter_context(rehost(server_component(), remote_policy()))
+            assert third.pid == started.pid  # the spare the second launch started
+            hosts = (first, second, third)
+            pids = {remote.pid for remote in hosts}
+            assert len(pids) == 3 and spare_process(spare_module).pid not in pids
+            for remote in hosts:
+                assert (remote.period, remote.steps_executed, remote.resets) == (0, 0, 0)
+                assert remote.remote_stats["component_spawns"] == 1
+            third.step(frozenset({"ping"}))
+            assert (second.period, third.period) == (0, 1)
+
+    def test_a_host_is_never_handed_out_twice(self, spare_module):
+        with contextlib.ExitStack() as stack:
+            launch_twice(stack)
+            barrier = threading.Barrier(4)
+            leased: list = []
+
+            def launch():
+                barrier.wait(timeout=60)
+                leased.append(rehost(server_component(), remote_policy()))
+
+            threads = [threading.Thread(target=launch) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            for remote in leased:
+                stack.callback(remote.close)
+            assert len(leased) == 4
+            assert len({remote.pid for remote in leased}) == 4
+            assert spare_process(spare_module).pid not in {remote.pid for remote in leased}
+            closed = leased[0].pid
+            leased[0].close()
+            # A closed host is gone for good: the next launch never gets it back.
+            assert stack.enter_context(rehost(server_component(), remote_policy())).pid != closed
+
+    @pytest.mark.parametrize("staleness", ["pythonpath-changed", "killed-while-idle"])
+    def test_a_stale_spare_means_a_silent_cold_spawn(self, spare_module, monkeypatch, staleness):
+        with contextlib.ExitStack() as stack:
+            launch_twice(stack)
+            stale = spare_process(spare_module)
+            if staleness == "killed-while-idle":
+                os.kill(stale.pid, signal.SIGKILL)
+                # Wait for the exit without reaping it: the launch must reap.
+                os.waitid(os.P_PID, stale.pid, os.WEXITED | os.WNOWAIT)
+            else:
+                extra = str(Path(__file__).resolve().parent)
+                paths = [os.environ.get("PYTHONPATH"), extra]
+                monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+            log = EventLog()
+            remote = stack.enter_context(
+                rehost(server_component(), remote_policy(), tracer=Tracer(log))
             )
+            assert remote.pid != stale.pid and remote.alive
+            assert stale.returncode is not None  # reaped, not left a zombie
+            assert log.names() == ["component.spawn"]  # no anomaly, no crash
+            assert remote.remote_stats == {
+                "component_spawns": 1,
+                "component_kills": 0,
+                "component_respawns": 0,
+            }
+            assert outcome_tuple(remote.step(frozenset({"ping"})))[0] == 1
 
-    def test_pool_size_must_be_positive(self):
-        with pytest.raises(SynthesisError, match="positive"):
-            InstancePool(server_component(), size=0)
+    def test_factory_hosts_never_lease_the_spare(self, spare_module):
+        with contextlib.ExitStack() as stack:
+            launch_twice(stack)
+            spare = spare_process(spare_module)
+            served = stack.enter_context(
+                RemoteComponent("repro.railcab:correct_rear_shuttle", policy=remote_policy())
+            )
+            assert served.pid != spare.pid
+            assert spare_process(spare_module) is spare and spare.poll() is None
+
+    def test_respawn_leases_the_spare(self, spare_module):
+        with contextlib.ExitStack() as stack:
+            remote = launch_twice(stack)[1]
+            spare = spare_process(spare_module)
+            remote.interrupt("test-deadline")
+            remote._process.wait(timeout=10)
+            remote.reset()  # the kill was reported: a quiet respawn
+            assert remote.pid == spare.pid
+            assert remote.remote_stats["component_respawns"] == 1
+
+    def test_exit_hook_reaps_the_spare(self, spare_module):
+        with contextlib.ExitStack() as stack:
+            launch_twice(stack)
+        spare = spare_process(spare_module)
+        spare_module._discard_spare()
+        assert spare_module._spare is None and spare.returncode is not None
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads procfs")
+    def test_a_driver_that_rehosts_twice_leaves_no_host_behind(self):
+        driver = (
+            "from repro import railcab\n"
+            "from repro.legacy import remote\n"
+            "for _ in range(2):\n"
+            "    with remote.rehost(railcab.correct_rear_shuttle(convoy_ticks=1)) as host:\n"
+            "        print(host.pid)\n"
+            "print(remote._spare[1].pid)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", driver], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        pids = [int(line) for line in done.stdout.split()]
+        assert len(set(pids)) == 3
+        deadline = time.monotonic() + 10
+        while any(host_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(host_running(pid) for pid in pids)
 
 
 # ------------------------------------------------------- knobs and refusals
@@ -1197,8 +1271,6 @@ class TestResolveRemote:
             RemotePolicy(step_deadline=0)
         with pytest.raises(SynthesisError, match="spawn_timeout"):
             RemotePolicy(spawn_timeout=-1)
-        with pytest.raises(SynthesisError, match="pool_size"):
-            RemotePolicy(pool_size=0)
 
 
 class TestRehostRefusals:

@@ -94,7 +94,7 @@ def normalize(raw: dict) -> dict:
             "per_remote_step_seconds": remote.get("per_remote_step_seconds"),
             "per_step_overhead_seconds": remote.get("per_step_overhead_seconds"),
             "cold_spawn_seconds": remote.get("cold_spawn_seconds"),
-            "warm_acquire_seconds": remote.get("warm_acquire_seconds"),
+            "warm_rehost_seconds": remote.get("warm_rehost_seconds"),
             "warm_vs_cold_ratio": remote.get("warm_vs_cold_ratio"),
         }
     flight = report["benchmarks"].get("test_flight_recorder_overhead_guard")
@@ -173,8 +173,8 @@ def main(argv: list[str] | None = None) -> None:
             f"remote: warm per-step RPC overhead "
             f"{remote['per_step_overhead_seconds'] * 1e6:.0f}µs "
             f"(local {remote['per_local_step_seconds'] * 1e6:.0f}µs → remote "
-            f"{remote['per_remote_step_seconds'] * 1e6:.0f}µs), warm acquire "
-            f"{remote['warm_acquire_seconds'] * 1e3:.1f}ms vs cold spawn "
+            f"{remote['per_remote_step_seconds'] * 1e6:.0f}µs), warm-spare rehost "
+            f"{remote['warm_rehost_seconds'] * 1e3:.1f}ms vs cold spawn "
             f"{remote['cold_spawn_seconds'] * 1e3:.1f}ms "
             f"({remote['warm_vs_cold_ratio']:.3f}x)"
         )
