@@ -9,20 +9,23 @@ its own Python subprocess behind a narrow wire protocol mirroring the
 driver side supervises it with *real* deadlines — a hung host is
 ``SIGKILL``-ed, not merely abandoned on a thread.
 
-Wire protocol (``repro.remote/2``)
+Wire protocol (``repro.remote/3``)
 ----------------------------------
 
 Frames are length-prefixed JSON: a 4-byte big-endian byte count
 followed by one sorted-key compact JSON object (UTF-8).  Requests carry
 an ``op``; replies carry ``ok`` plus op-specific fields, and every
 reply mirrors the host-side black-box counters so the proxy stays
-bit-consistent with an in-process run.  The core operations:
+bit-consistent with an in-process run.  There are six operations:
 
 ``hello``
     Protocol-version handshake; returns the host's version, the
     component's structural :class:`~repro.legacy.interface.InterfaceDescription`
     (see :func:`interface_to_wire`), and whether a fault profile is
-    armed host-side.  A version mismatch fails fast with
+    armed host-side.  A generic host (``--serve -``) receives its
+    component in this frame (a serialized hidden automaton plus an
+    optional :class:`~repro.testing.faults.FaultProfile`), so a spawn
+    or respawn is one round trip.  A version mismatch fails fast with
     :class:`~repro.errors.RemoteProtocolError`.
 ``execute`` / ``replay``
     One frame per test execution and per deterministic replay: the host
@@ -30,17 +33,15 @@ bit-consistent with an in-process run.  The core operations:
     :func:`~repro.testing.replay.replay` on its own component and
     answers with the whole outcome, so test semantics have exactly one
     implementation and a test costs one round trip, not one per period.
-``step`` / ``reset`` / ``observe`` / ``shutdown``
-    The executable contract: execute one period, restart, observe
-    (counters, period, probe effect — with ``probe=true`` also the
-    state via ``monitor_state``), and exit cleanly.
-``load`` / ``instrument`` / ``arm`` / ``reseed`` / ``ping``
-    Auxiliary operations: ship a serialized hidden automaton plus an
-    optional :class:`~repro.testing.faults.FaultProfile` into a generic
-    host (``--serve -``), forward instrumentation and fault-arming
-    scopes (so seed-driven fault schedules consume RNG draws
-    bit-identically across the wire), restart the fault schedule, and
-    health-check a host without side effects.
+``step`` / ``reset`` / ``shutdown``
+    The executable contract: execute one period, restart, and exit
+    cleanly.
+
+Every frame that runs the component (``step``, ``reset``, ``execute``,
+``replay``) carries ``armed``: whether the driver is inside an
+``inject_faults()`` scope.  The host enters its component's own scope
+for that one frame, so seed-driven fault schedules consume RNG draws
+bit-identically across the wire and arming costs no frame of its own.
 
 Supervision
 -----------
@@ -67,15 +68,15 @@ crashes exactly like injected ones (Lemma 6 preserved):
 Every kill, respawn, and protocol violation is published on the
 tracer: a ``component.*`` span and event, and (kills and respawns) an
 anomaly that makes a flight recorder dump its blackbox.  A dead host
-respawns lazily on the next use, replaying the proxy's instrumentation
-and arming scopes first.
+respawns lazily on the next use with one ``hello`` frame; there is no
+host-side scope to restore, since arming travels in every frame.
 
 Warm spare host
 ---------------
 
 Starting a host (interpreter, ``import repro``) costs far more than the
-``load``/``hello`` handshake.  A generic host (``--serve -``) learns its
-component only from the ``load`` frame, so the driver keeps one such
+``hello`` handshake.  A generic host (``--serve -``) learns its
+component only from the ``hello`` frame, so the driver keeps one such
 host started ahead of need: from the second generic launch in a
 process onward, each launch leases the spare and at once starts its
 replacement, which imports ``repro`` while the loop runs.  A spare is
@@ -102,7 +103,7 @@ import threading
 import time
 from collections.abc import Iterable
 from itertools import takewhile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -119,7 +120,7 @@ from ..errors import (
     SynthesisError,
     TestTimeoutError,
 )
-from .component import Instrumentation, LegacyComponent, StepOutcome
+from .component import LegacyComponent, StepOutcome
 from .interface import InterfaceDescription, interface_of
 
 __all__ = [
@@ -140,8 +141,9 @@ __all__ = [
 
 #: Version tag negotiated by the ``hello`` handshake.  Bump on any
 #: breaking change to frame layouts or operation semantics (2: the
-#: one-frame ``execute`` and ``replay`` operations).
-REMOTE_PROTOCOL_VERSION = 2
+#: one-frame ``execute`` and ``replay`` operations; 3: six operations,
+#: arming in the frame and the component in ``hello``).
+REMOTE_PROTOCOL_VERSION = 3
 
 #: Environment variable turning on out-of-process execution suite-wide
 #: (any value other than ``0``/``false``/``no``/``off`` selects the
@@ -156,6 +158,9 @@ MAX_FRAME_BYTES = 1 << 24
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 _HEADER = struct.Struct(">I")
+
+#: The operations that run the component; each frame carries ``armed``.
+_RUNS = ("step", "reset", "execute", "replay")
 
 
 class _DeadlineExpired(Exception):
@@ -470,7 +475,8 @@ class _StepWatchdog:
             if started is not None and now - started > limit:
                 self._expire(now - started, limit)
                 return
-            time.sleep(limit / 4)
+            # Capped: ``time.sleep`` overflows on a huge or infinite limit.
+            time.sleep(min(limit / 4, 1.0))
 
 
 class _Watched:
@@ -499,8 +505,8 @@ class ComponentHost:
     Parameters
     ----------
     component:
-        The component to serve, or ``None`` to await a ``load`` frame
-        (the ``--serve -`` mode used by :func:`rehost`).  A bare
+        The component to serve, or ``None`` to receive it in the
+        ``hello`` frame (the ``--serve -`` mode used by :func:`rehost`).  A bare
         :class:`~repro.automata.automaton.Automaton` is wrapped in a
         fresh :class:`~repro.legacy.component.LegacyComponent`.
     fault_profile:
@@ -518,8 +524,6 @@ class ComponentHost:
         self.protocol_version = (
             REMOTE_PROTOCOL_VERSION if forced_version is None else forced_version
         )
-        self._instrument_scopes: list = []
-        self._armed_scopes: list = []
         # Whole-run frames arm this around every step (see ``serve``).
         self._watchdog: _StepWatchdog | None = None
         if component is not None:
@@ -537,8 +541,6 @@ class ComponentHost:
             # process.
             component = FaultyComponent.wrap(component, fault_profile, tracer=NULL_TRACER)
         self.component = component
-        self._instrument_scopes = []
-        self._armed_scopes = []
 
     # ------------------------------------------------------------- serving
 
@@ -569,9 +571,9 @@ class ComponentHost:
                 reply = self._dispatch(op, request)
             except ReproError as error:
                 reply = {"ok": False, "error": _error_name(error), "message": str(error)}
-                if op in ("execute", "replay") and self.component is not None:
-                    # A whole-run frame moves the counters before it fails.
-                    reply.update(self._status(), **self._fault_status())
+                if op in _RUNS and self.component is not None:
+                    # A run may move the counters before it fails.
+                    reply.update(self._status())
             with send_lock:
                 channel.send(reply)
 
@@ -601,6 +603,7 @@ class ComponentHost:
 
     def _status(self) -> dict:
         component = self.component
+        counts = getattr(component, "fault_counts", None)
         return {
             "counters": [
                 component.steps_executed,
@@ -608,113 +611,79 @@ class ComponentHost:
                 component.state_probes,
             ],
             "period": component.period,
+            "fault_active": bool(getattr(component, "fault_injection_active", False)),
+            "fault_counts": dict(counts) if counts else None,
         }
 
     def _require_component(self):
         if self.component is None:
-            raise RemoteProtocolError("no component loaded yet (send a 'load' frame first)")
+            raise RemoteProtocolError(
+                "no component yet: a generic host receives it in the 'hello' frame"
+            )
         return self.component
 
     def _dispatch(self, op, request: dict) -> dict:
         if op == "hello":
             return self._hello(request)
-        if op == "load":
-            return self._load(request)
-        if op == "ping":
-            return {"ok": True, "pong": True, "loaded": self.component is not None}
+        if op not in _RUNS:
+            raise RemoteProtocolError(f"unknown operation {op!r:.80}")
         component = self._require_component()
-        if op == "execute":
-            return self._execute(request)
-        if op == "replay":
-            return self._replay(request)
-        if op == "step":
+        arm = getattr(component, "inject_faults", None)
+        armed = _flag(request.get("armed", False), f"{op} armed") and arm is not None
+        with arm() if armed else nullcontext():
+            if op == "execute":
+                return self._execute(request)
+            if op == "replay":
+                return self._replay(request)
+            if op == "reset":
+                component.reset()
+                return {"ok": True, **self._status()}
             outcome = component.step(_signals(request.get("inputs", []), "step inputs"))
-            return {
-                "ok": True,
-                "period": outcome.period,
-                "inputs": sorted(outcome.inputs),
-                "outputs": sorted(outcome.outputs),
-                "blocked": outcome.blocked,
-                **self._status(),
-            }
-        if op == "reset":
-            component.reset()
-            return {"ok": True, **self._status()}
-        if op == "observe":
-            return self._observe(_flag(request.get("probe", False), "observe probe"))
-        if op == "instrument":
-            try:
-                level = Instrumentation(request.get("level"))
-            except (TypeError, ValueError):
-                raise RemoteProtocolError(
-                    f"instrument level must be one of {[level.value for level in Instrumentation]}, "
-                    f"got {request.get('level')!r:.80}"
-                ) from None
-            scope = component.instrumented(level, live=_flag(request.get("live"), "instrument live"))
-            scope.__enter__()
-            self._instrument_scopes.append(scope)
-            return {"ok": True, "depth": len(self._instrument_scopes)}
-        if op == "uninstrument":
-            if not self._instrument_scopes:
-                raise RemoteProtocolError("uninstrument without a matching instrument")
-            self._instrument_scopes.pop().__exit__(None, None, None)
-            return {"ok": True, "depth": len(self._instrument_scopes)}
-        if op == "arm":
-            arm = getattr(component, "inject_faults", None)
-            scope = arm() if arm is not None else None
-            if scope is not None:
-                scope.__enter__()
-            self._armed_scopes.append(scope)
-            return {"ok": True, "depth": len(self._armed_scopes), **self._fault_status()}
-        if op == "disarm":
-            if not self._armed_scopes:
-                raise RemoteProtocolError("disarm without a matching arm")
-            scope = self._armed_scopes.pop()
-            if scope is not None:
-                scope.__exit__(None, None, None)
-            return {"ok": True, "depth": len(self._armed_scopes), **self._fault_status()}
-        if op == "reseed":
-            seed = request.get("seed")
-            if seed is not None:
-                _integer(seed, "reseed seed")
-            reseed = getattr(component, "reseed", None)
-            if reseed is not None:
-                reseed(seed)
-            return {"ok": True}
-        raise RemoteProtocolError(f"unknown operation {op!r}")
-
-    def _hello(self, request: dict) -> dict:
-        component = self._require_component()
-        version = request.get("version")
-        if version != self.protocol_version:
-            raise RemoteProtocolError(
-                f"protocol version mismatch: driver speaks {version!r}, "
-                f"host speaks {self.protocol_version}"
-            )
         return {
             "ok": True,
-            "version": self.protocol_version,
-            "interface": interface_to_wire(interface_of(component)),
-            "fault_active": bool(getattr(component, "fault_injection_active", False)),
+            "period": outcome.period,
+            "inputs": sorted(outcome.inputs),
+            "outputs": sorted(outcome.outputs),
+            "blocked": outcome.blocked,
             **self._status(),
         }
 
-    def _load(self, request: dict) -> dict:
+    def _hello(self, request: dict) -> dict:
+        version = request.get("version")
+        if version != self.protocol_version:
+            raise RemoteProtocolError(
+                f"protocol version mismatch: driver speaks {version!r:.80}, "
+                f"host speaks {self.protocol_version}"
+            )
+        if self.component is None:
+            self._load(request)
+        elif "automaton" in request:
+            raise RemoteProtocolError("this host already serves a component")
+        return {
+            "ok": True,
+            "version": self.protocol_version,
+            "interface": interface_to_wire(interface_of(self.component)),
+            **self._status(),
+        }
+
+    def _load(self, request: dict) -> None:
+        """Install the component a generic host's ``hello`` carries."""
         from ..persistence import automaton_from_dict
         from ..testing.faults import FaultProfile
 
         fault = request.get("fault")
         name = request.get("name")
         if not isinstance(request.get("automaton"), dict) or not isinstance(name, (str, type(None))):
-            raise RemoteProtocolError("a load frame needs an 'automaton' object and a string 'name'")
+            raise RemoteProtocolError(
+                "a generic host's hello frame needs an 'automaton' object and a string 'name'"
+            )
         try:
             profile = FaultProfile.from_wire(fault) if fault is not None else None
             hidden = automaton_from_dict(request["automaton"])
         except (ModelError, TypeError, ValueError) as error:
-            raise RemoteProtocolError(f"malformed load frame: {error}") from None
+            raise RemoteProtocolError(f"malformed component in hello frame: {error}") from None
         component = LegacyComponent(hidden, name=name if name is not None else hidden.name)
         self._install(component, profile)
-        return {"ok": True, **self._status()}
 
     @contextmanager
     def _watched(self, request: dict):
@@ -757,7 +726,6 @@ class ComponentHost:
                 for step in execution.recording.steps
             ],
             **self._status(),
-            **self._fault_status(),
         }
 
     def _replay(self, request: dict) -> dict:
@@ -776,28 +744,7 @@ class ComponentHost:
             "blocked": None if tail is None else [sorted(tail.inputs), sorted(tail.outputs)],
             "probe_effect_free": result.probe_effect_free,
             **self._status(),
-            **self._fault_status(),
         }
-
-    def _fault_status(self) -> dict:
-        component = self.component
-        counts = getattr(component, "fault_counts", None)
-        return {
-            "fault_active": bool(getattr(component, "fault_injection_active", False)),
-            "fault_counts": dict(counts) if counts else None,
-        }
-
-    def _observe(self, probe: bool) -> dict:
-        component = self.component
-        reply = {
-            "ok": True,
-            "probe_effect_active": bool(component.probe_effect_active),
-            **self._fault_status(),
-        }
-        if probe:
-            reply["state"] = _state_wire(component.monitor_state())
-        reply.update(self._status())
-        return reply
 
 
 # ------------------------------------------------------------------- policy
@@ -810,16 +757,17 @@ class RemotePolicy:
     Parameters
     ----------
     step_deadline:
-        Wall-clock bound per contract operation (seconds): per
-        ``step`` frame, and per step inside an ``execute``/``replay``
-        frame (the host's watchdog), whose whole frame may take one
-        per operation it stands for.  Expiry kills the host process and
-        raises :class:`~repro.errors.TestTimeoutError` — this is the
-        *real* per-step deadline the in-process path cannot enforce.  ``None``
-        disables it (a truly hung host then blocks until killed from
-        outside).
+        Wall-clock bound per step (seconds).  It bounds each ``step``
+        and ``reset`` frame; inside an ``execute``/``replay`` frame the
+        host's watchdog applies it to every step, and the whole frame
+        gets ``len(steps) + 4`` (``execute``) or ``2 * len(steps) + 6``
+        (``replay``) of them as a backstop.  Expiry kills the host
+        process and raises :class:`~repro.errors.TestTimeoutError` —
+        this is the *real* per-step deadline the in-process path cannot
+        enforce.  ``None`` disables it (a truly hung host then blocks
+        until killed from outside).
     spawn_timeout:
-        Bound on process start plus the ``load``/``hello`` handshake.
+        Bound on process start plus the ``hello`` handshake.
     """
 
     step_deadline: float | None = 5.0
@@ -952,8 +900,8 @@ class RemoteComponent:
     """A supervised subprocess proxy satisfying the component contract.
 
     Spawns ``python -m repro.legacy.remote --serve <spec>`` (or leases
-    the warm spare generic ``-`` host, fed by a ``load`` frame, and
-    spawns one when none fits), performs the ``hello``
+    the warm spare generic ``-`` host, whose ``hello`` frame carries the
+    component, and spawns one when none fits), performs the ``hello``
     handshake, and forwards every contract operation — and every whole
     test execution and replay — as one frame round-trip under
     :class:`RemotePolicy` deadlines.  The black-box
@@ -991,7 +939,6 @@ class RemoteComponent:
         self._channel: FrameChannel | None = None
         self._closed = False
         self._death_reported = False
-        self._instrument_stack: list[tuple[str, bool]] = []
         self._armed_depth = 0
         # Black-box counters, mirrored from host replies.
         self.steps_executed = 0
@@ -1000,7 +947,6 @@ class RemoteComponent:
         self._period = 0
         self._fault_active = False
         self._fault_counts: dict | None = None
-        self._probe_effect = False
         self.remote_stats = {
             "component_spawns": 0,
             "component_kills": 0,
@@ -1028,11 +974,9 @@ class RemoteComponent:
         span = "component.respawn" if respawn else "component.spawn"
         with self._tracer.span(span, component=str(self.name)):
             self._spawn_process()
-            timeout = self.policy.spawn_timeout
-            if self._payload is not None:
-                self._request({"op": "load", **self._payload}, timeout=timeout)
             hello = self._request(
-                {"op": "hello", "version": REMOTE_PROTOCOL_VERSION}, timeout=timeout
+                {"op": "hello", "version": REMOTE_PROTOCOL_VERSION, **(self._payload or {})},
+                timeout=self.policy.spawn_timeout,
             )
         if hello.get("version") != REMOTE_PROTOCOL_VERSION:
             message = (
@@ -1049,16 +993,6 @@ class RemoteComponent:
         self.state_bound = interface.state_bound
         self._fault_active = bool(hello.get("fault_active", False))
         if respawn:
-            # Reconcile the host with the proxy's live scopes: a respawned
-            # process starts bare, but the caller may be inside
-            # instrumented()/inject_faults() blocks.
-            for level, live in self._instrument_stack:
-                self._request(
-                    {"op": "instrument", "level": level, "live": live},
-                    timeout=self.policy.step_deadline,
-                )
-            for _ in range(self._armed_depth if self._fault_active else 0):
-                self._request({"op": "arm"}, timeout=self.policy.step_deadline)
             self.remote_stats["component_respawns"] += 1
             self._tracer.event("component.respawn", component=str(self.name), pid=self.pid)
             self._tracer.anomaly("remote_respawn", component=str(self.name), pid=self.pid)
@@ -1151,25 +1085,17 @@ class RemoteComponent:
     def alive(self) -> bool:
         return self._process is not None and self._process.poll() is None
 
-    def ping(self) -> bool:
-        """Health-check without side effects."""
-        with self._lock:
-            if self._closed or not self.alive:
-                return False
-            try:
-                self._request({"op": "ping"}, timeout=self.policy.step_deadline or 5.0)
-                return True
-            except (ExecutionError, TestTimeoutError):
-                return False
-
     # --------------------------------------------------------------- framing
 
     def _ensure_alive(self) -> None:
         if self._closed:
             raise ExecutionError(f"remote component {self.name!r} is closed")
-        if self._process is None or self._process.poll() is not None:
+        # A reported death is final even before the SIGKILL lands (right
+        # after interrupt() the host may still poll as running): reaping
+        # waits for its exit, and the respawn is quiet.
+        reported = self._death_reported
+        if reported or self._process is None or self._process.poll() is not None:
             exit_code = self._process.poll() if self._process is not None else None
-            reported = self._death_reported
             self._reap()
             self._launch(respawn=True)
             if not reported:
@@ -1245,14 +1171,14 @@ class RemoteComponent:
             self.steps_executed, self.resets, self.state_probes = counters
         if "period" in reply:
             self._period = reply["period"]
-        if "probe_effect_active" in reply:
-            self._probe_effect = bool(reply["probe_effect_active"])
         if "fault_counts" in reply and reply["fault_counts"] is not None:
             self._fault_counts = dict(reply["fault_counts"])
 
     def _call(self, payload: dict, *, timeout: float | None = None) -> dict:
+        """One frame that runs the component, respawning a dead host first."""
         with self._lock:
             self._ensure_alive()
+            payload["armed"] = self._armed_depth > 0 and self._fault_active
             limit = timeout if timeout is not None else self.policy.step_deadline
             return self._request(payload, timeout=limit)
 
@@ -1347,7 +1273,8 @@ class RemoteComponent:
             "testcase": _testcase_to_wire(testcase),
             "step_timeout": step_timeout,
         }
-        # Per-op equivalent: reset, instrument, the steps, uninstrument, reset.
+        # Backstop: one deadline each for reset, instrument, the steps,
+        # uninstrument and reset.
         return self._whole_run_call(payload, len(testcase.steps) + 4, decode)
 
     def replay_in_host(self, recording, *, port: str = "port"):
@@ -1397,42 +1324,14 @@ class RemoteComponent:
             )
 
         payload = {"op": "replay", "recording": _recording_to_wire(recording)}
-        # Per-op equivalent: reset, instrument, one probe, a step and a
-        # probe per period, the probe-effect read, uninstrument, reset.
+        # Backstop: the same, plus the start probe, a probe per step and
+        # the probe-effect read.
         return self._whole_run_call(payload, 2 * len(recording.steps) + 6, decode)
 
     @property
     def period(self) -> int:
         """The host's period as of the last reply (skew included)."""
         return self._period
-
-    def monitor_state(self):
-        reply = self._call({"op": "observe", "probe": True})
-        return reply["state"]
-
-    @property
-    def probe_effect_active(self) -> bool:
-        self._call({"op": "observe", "probe": False})
-        return self._probe_effect
-
-    @contextmanager
-    def instrumented(self, level: Instrumentation, *, live: bool):
-        level = level if isinstance(level, Instrumentation) else Instrumentation(level)
-        with self._lock:
-            self._call({"op": "instrument", "level": level.value, "live": live})
-            self._instrument_stack.append((level.value, live))
-        try:
-            yield self
-        finally:
-            with self._lock:
-                self._instrument_stack.pop()
-                if self.alive:
-                    try:
-                        self._request(
-                            {"op": "uninstrument"}, timeout=self.policy.step_deadline
-                        )
-                    except (ExecutionError, TestTimeoutError):
-                        pass  # host lost: the respawn handshake reconciles
 
     # ----------------------------------------------------------------- chaos
 
@@ -1450,44 +1349,29 @@ class RemoteComponent:
 
     @contextmanager
     def inject_faults(self):
-        """Forward an arming scope to the host.
+        """Arm fault injection for the scope, without a frame of its own.
 
-        A host without an armed profile has nothing to arm, so no frame
-        is sent and a supervised test stays a single ``execute`` frame.
+        Every frame sent inside the scope carries ``armed``, and the
+        host arms its own component for that frame only; a respawned
+        host therefore needs no arming replayed onto it.
         """
-        forward = self._fault_active
         with self._lock:
-            if forward:
-                self._call({"op": "arm"})
             self._armed_depth += 1
         try:
             yield self
         finally:
             with self._lock:
                 self._armed_depth -= 1
-                if forward and self.alive:
-                    try:
-                        self._request({"op": "disarm"}, timeout=self.policy.step_deadline)
-                    except (ExecutionError, TestTimeoutError):
-                        pass  # host lost: the respawn handshake reconciles
 
     @property
     def fault_counts(self) -> dict | None:
-        """Host-side fault tallies (refreshed best-effort)."""
-        if self._fault_active:
-            try:
-                self._call({"op": "observe", "probe": False})
-            except (ExecutionError, TestTimeoutError):
-                pass
+        """Host-side fault tallies as of the last reply."""
         return self._fault_counts
 
     @property
     def faults_injected(self) -> int:
         counts = self.fault_counts
         return sum(counts.values()) if counts else 0
-
-    def reseed(self, seed: int | None = None) -> None:
-        self._call({"op": "reseed", "seed": seed})
 
     def __repr__(self) -> str:
         return (
@@ -1500,7 +1384,7 @@ class RemoteComponent:
 
 
 def rehost_payload(component, fault_profile=None) -> dict:
-    """The ``load`` frame shipping an in-process component to a host.
+    """The ``hello`` fields shipping an in-process component to a host.
 
     Unwraps a :class:`~repro.testing.faults.FaultyComponent` (its
     profile moves to the host so injection happens inside the real
@@ -1554,8 +1438,8 @@ def rehost(
     """Wrap an in-process component as a supervised subprocess.
 
     The demo adapter behind ``SynthesisSettings(remote=...)``: the
-    component's hidden automaton travels to a generic host in a
-    ``load`` frame and the returned :class:`RemoteComponent` satisfies
+    component's hidden automaton travels to a generic host in its
+    ``hello`` frame and the returned :class:`RemoteComponent` satisfies
     the same contract, with verdicts bit-identical to in-process
     execution on fault-free runs.
     """
@@ -1591,14 +1475,14 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.legacy.remote",
-        description="Serve a legacy component over the repro.remote/2 frame protocol.",
+        description="Serve a legacy component over the repro.remote/3 frame protocol.",
     )
     parser.add_argument(
         "--serve",
         required=True,
         metavar="FACTORY",
         help="'package.module:callable' producing a component (or an automaton), "
-        "or '-' to await a load frame on stdin",
+        "or '-' to receive it in the hello frame on stdin",
     )
     parser.add_argument(
         "--fault-seed",
@@ -1607,7 +1491,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SEED",
         help="arm the mild chaos profile inside this host process "
         "(REPRO_FAULT_SEED works without the flag; an explicit fault "
-        "profile in a load frame wins over both)",
+        "profile in a hello frame wins over both)",
     )
     parser.add_argument(
         "--force-protocol-version", type=int, default=None, help=argparse.SUPPRESS

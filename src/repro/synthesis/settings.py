@@ -65,8 +65,8 @@ class SynthesisSettings:
     remote:
         Run the component under test *out of process* behind the
         supervised subprocess adapter (:mod:`repro.legacy.remote`).  A
-        :class:`repro.legacy.RemotePolicy` sets the per-step deadline,
-        spawn timeout, and pool size; ``True`` selects the default
+        :class:`repro.legacy.RemotePolicy` sets the per-step deadline
+        and the spawn timeout; ``True`` selects the default
         policy; ``False`` forces in-process execution; ``None`` (the
         default) defers to the ``REPRO_REMOTE`` environment variable.
         Fault-free verdicts and iteration records are bit-identical to

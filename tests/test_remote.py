@@ -1,8 +1,9 @@
 """Out-of-process components: wire protocol, supervision, warm spare, parity.
 
 Covers :mod:`repro.legacy.remote` at every layer: frame encoding over
-raw pipes, the in-process :class:`ComponentHost` dispatch table, the
-``hello`` interface round-trip (property-based), the real-subprocess
+raw pipes, the in-process :class:`ComponentHost` dispatch table, both
+decoders under ``hypothesis`` fuzzing, the ``hello`` interface
+round-trip (property-based), the real-subprocess
 :class:`RemoteComponent` failure taxonomy — crash → respawn, deadline →
 SIGKILL, garbage → protocol violation — host-side seed-reproducible
 fault injection, the kill ``-9`` soundness guarantee (a murdered host
@@ -13,6 +14,7 @@ bit-identical, record by record, to in-process execution.
 
 import contextlib
 import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -36,7 +38,7 @@ from repro.errors import (
     SynthesisError,
     TestTimeoutError,
 )
-from repro.legacy import Instrumentation, LegacyComponent
+from repro.legacy import LegacyComponent
 from repro.legacy.interface import InterfaceDescription, interface_of
 from repro.legacy.remote import (
     MAX_FRAME_BYTES,
@@ -312,9 +314,11 @@ class HostHarness:
         self.host = ComponentHost(
             component, fault_profile=fault_profile, forced_version=forced_version
         )
-        host_channel, self.driver, self._fds = pipe_pair()
+        host_channel, self.driver, fds = pipe_pair()
+        self._fds = list(fds)
+        self._ended: list[int] = []  # serve()'s return value, once it returns
         self._thread = threading.Thread(
-            target=self.host.serve, args=(host_channel,), daemon=True
+            target=lambda: self._ended.append(self.host.serve(host_channel)), daemon=True
         )
         self._thread.start()
 
@@ -322,15 +326,26 @@ class HostHarness:
         self.driver.send(payload)
         return self.driver.receive(5.0)
 
+    def write_raw(self, data: bytes) -> None:
+        """Put raw bytes on the host's stdin, then hang up (EOF)."""
+        os.write(self._fds[1], data)
+        os.close(self._fds.pop(1))
+
+    def served(self, timeout: float = 5.0) -> int | None:
+        """serve()'s return value; ``None`` if it still runs or raised."""
+        self._thread.join(timeout)
+        return self._ended[0] if self._ended else None
+
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        try:
-            self.driver.send({"op": "shutdown"})
-            self.driver.receive(1.0)
-        except (RemoteComponentError, _DeadlineExpired, OSError):
-            pass
+        if self._thread.is_alive() and len(self._fds) == 4:
+            try:
+                self.driver.send({"op": "shutdown"})
+                self.driver.receive(1.0)
+            except (RemoteComponentError, _DeadlineExpired, OSError):
+                pass
         self._thread.join(timeout=2)
         close_fds(self._fds)
 
@@ -361,20 +376,15 @@ class TestComponentHost:
             reply = harness.request(op="hello", version=3)
             assert reply["ok"] and reply["version"] == 3
 
-    def test_step_reset_observe_mirror_the_counters(self):
+    def test_step_and_reset_mirror_the_counters(self):
         with HostHarness(server_component()) as harness:
             reply = harness.request(op="step", inputs=["ping"])
             assert reply["ok"] and reply["outputs"] == [] and not reply["blocked"]
             assert reply["counters"] == [1, 0, 0]
             reply = harness.request(op="step", inputs=[])
             assert reply["outputs"] == ["pong"]
-            harness.request(op="instrument", level="full", live=False)
-            reply = harness.request(op="observe", probe=True)
-            assert reply["state"] == "ready"
-            assert reply["counters"] == [2, 0, 1]
-            harness.request(op="uninstrument")
             reply = harness.request(op="reset")
-            assert reply["counters"] == [2, 1, 1] and reply["period"] == 0
+            assert reply["counters"] == [2, 1, 0] and reply["period"] == 0
 
     def test_unknown_operation_is_a_protocol_error_reply(self):
         with HostHarness(server_component()) as harness:
@@ -382,35 +392,49 @@ class TestComponentHost:
             assert not reply["ok"] and reply["error"] == "RemoteProtocolError"
             assert "unknown operation" in reply["message"]
 
+    def test_only_the_six_operations_are_served(self):
+        assert REMOTE_PROTOCOL_VERSION == 3
+        retired = ("load", "ping", "observe", "instrument", "uninstrument", "arm", "disarm", "reseed")
+        with HostHarness(server_component()) as harness:
+            for op in retired:
+                reply = harness.request(op=op)
+                assert reply == {
+                    "ok": False,
+                    "error": "RemoteProtocolError",
+                    "message": f"unknown operation {op!r}",
+                }, op
+
     def test_step_before_load_demands_a_load_frame(self):
         with HostHarness() as harness:
             reply = harness.request(op="step", inputs=[])
-            assert not reply["ok"] and "load" in reply["message"]
+            assert not reply["ok"] and "'hello' frame" in reply["message"]
 
     def test_load_installs_a_component_into_a_generic_host(self):
+        load = rehost_payload(server_component())
         with HostHarness() as harness:
-            ping = harness.request(op="ping")
-            assert ping["ok"] and ping["pong"] and not ping["loaded"]
-            reply = harness.request(op="load", **rehost_payload(server_component()))
-            assert reply["ok"] and reply["counters"] == [0, 0, 0]
-            assert harness.request(op="ping")["loaded"]
-            hello = harness.request(op="hello", version=REMOTE_PROTOCOL_VERSION)
+            # The version is checked before anything is installed.
+            reply = harness.request(op="hello", version=99, **load)
+            assert reply["error"] == "RemoteProtocolError" and "version" in reply["message"]
+            assert "'hello' frame" in harness.request(op="reset")["message"]
+            hello = harness.request(op="hello", version=REMOTE_PROTOCOL_VERSION, **load)
+            assert hello["ok"] and hello["counters"] == [0, 0, 0]
             assert hello["interface"]["name"] == "server"
+            assert harness.request(op="step", inputs=["ping"])["counters"] == [1, 0, 0]
+            # A host serves one component: a second load is refused.
+            again = harness.request(op="hello", version=REMOTE_PROTOCOL_VERSION, **load)
+            assert again["error"] == "RemoteProtocolError" and "already" in again["message"]
 
-    def test_unbalanced_scopes_are_protocol_errors(self):
-        with HostHarness(server_component()) as harness:
-            for op in ("uninstrument", "disarm"):
-                reply = harness.request(op=op)
-                assert not reply["ok"] and reply["error"] == "RemoteProtocolError"
-
-    def test_instrument_and_arm_track_depth(self):
-        profile = FaultProfile.mild(3)
+    def test_armed_frame_arms_the_component_for_that_frame_only(self):
+        profile = FaultProfile.single(FaultKind.TRANSIENT_ERROR, 1.0, seed=3)
         with HostHarness(server_component(), fault_profile=profile) as harness:
-            assert harness.request(op="instrument", level="full", live=True)["depth"] == 1
-            assert harness.request(op="uninstrument")["depth"] == 0
-            armed = harness.request(op="arm")
-            assert armed["depth"] == 1 and armed["fault_active"] is True
-            assert harness.request(op="disarm")["depth"] == 0
+            assert harness.request(op="hello", version=REMOTE_PROTOCOL_VERSION)["fault_active"]
+            reply = harness.request(op="step", inputs=["ping"], armed=True)
+            assert reply["error"] == "FaultInjectionError"
+            assert reply["fault_counts"]["transient_error"] == 1
+            reply = harness.request(op="step", inputs=["ping"], armed=False)
+            assert reply["ok"] and reply["fault_counts"]["transient_error"] == 1
+            reply = harness.request(op="execute", testcase={"name": "t", "steps": [[[], []]]})
+            assert reply["ok"] and reply["fault_counts"]["transient_error"] == 1
 
     def test_execute_runs_the_whole_test_in_one_frame(self):
         local = server_component()
@@ -455,31 +479,57 @@ class TestComponentHost:
         assert reply["blocked"] == [["ping"], []]
         assert reply["probe_effect_free"] is True
 
+    def test_a_huge_step_deadline_leaves_the_watchdog_running(self):
+        class SlowServer(LegacyComponent):
+            def step(self, inputs=()):
+                time.sleep(0.1)  # long enough for the watchdog to poll
+                return super().step(inputs)
+
+        with HostHarness(server_component(SlowServer)) as harness:
+            for limit in (1e300, float("inf")):
+                reply = harness.request(
+                    op="execute", testcase={"name": "t", "steps": [[[], []]]}, step_deadline=limit
+                )
+                assert reply["ok"]
+            assert harness.host._watchdog._thread.is_alive()
+
     def test_host_side_replay_divergence_keeps_its_class(self):
         with HostHarness(server_component()) as harness:
             reply = harness.request(op="replay", recording={"component": "other", "steps": []})
             assert reply["error"] == "ReplayError" and "belongs to 'other'" in reply["message"]
             assert reply["counters"] == [0, 0, 0]  # whole-run errors mirror the counters
-            assert harness.request(op="ping")["ok"]
+            assert harness.request(op="reset")["ok"]
 
 
 #: Frames whose JSON parses but whose fields have the wrong shape.  Each
 #: must come back as one RemoteProtocolError reply, never a host crash.
+#: A valid hello for a generic host: what the ``hello``/``load`` cases
+#: send next to show the host still serves.
+GENERIC_HELLO = {
+    "op": "hello",
+    "version": REMOTE_PROTOCOL_VERSION,
+    **rehost_payload(server_component()),
+}
+
 MALFORMED_FRAMES = {
-    "instrument-without-level": {"op": "instrument"},
-    "instrument-bogus-level": {"op": "instrument", "level": "bogus", "live": True},
-    "instrument-without-live": {"op": "instrument", "level": "full"},
     "step-inputs-not-a-list": {"op": "step", "inputs": 5},
     "step-inputs-not-signals": {"op": "step", "inputs": [1, 2]},
-    "observe-probe-not-a-flag": {"op": "observe", "probe": "yes"},
-    "reseed-seed-not-an-integer": {"op": "reseed", "seed": "x"},
-    "load-without-automaton": {"op": "load", "name": "server"},
-    "load-garbage-automaton": {"op": "load", "automaton": {"states": 3}, "name": "x"},
-    "load-garbage-fault": {
-        **rehost_payload(server_component()),
-        "op": "load",
-        "fault": {"bogus_rate": 1},
+    "step-armed-not-a-flag": {"op": "step", "inputs": [], "armed": 1},
+    "execute-armed-not-a-flag": {
+        "op": "execute",
+        "testcase": {"name": "t", "steps": []},
+        "armed": "yes",
     },
+    "load-without-automaton": {"op": "hello", "version": REMOTE_PROTOCOL_VERSION, "name": "server"},
+    "load-garbage-automaton": {
+        "op": "hello",
+        "version": REMOTE_PROTOCOL_VERSION,
+        "automaton": {"states": 3},
+        "name": "x",
+    },
+    "load-garbage-fault": {**GENERIC_HELLO, "fault": {"bogus_rate": 1}},
+    "hello-automaton-not-an-object": {**GENERIC_HELLO, "automaton": [["ready"]]},
+    "hello-name-not-a-string": {**GENERIC_HELLO, "name": 7},
     "execute-without-testcase": {"op": "execute"},
     "execute-testcase-without-name": {"op": "execute", "testcase": {"steps": []}},
     "execute-steps-not-rows": {"op": "execute", "testcase": {"name": "t", "steps": [["ping"]]}},
@@ -526,11 +576,135 @@ MALFORMED_FRAMES = {
 class TestMalformedFrames:
     @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
     def test_malformed_field_is_one_typed_protocol_error(self, case):
-        with HostHarness(server_component()) as harness:
-            reply = harness.request(**MALFORMED_FRAMES[case])
+        frame = MALFORMED_FRAMES[case]
+        generic = frame["op"] == "hello"  # the component travels to a generic host
+        with HostHarness(None if generic else server_component()) as harness:
+            reply = harness.request(**frame)
             assert reply["ok"] is False and reply["error"] == "RemoteProtocolError", reply
             # The host survived the frame and still serves.
-            assert harness.request(op="ping")["ok"]
+            assert harness.request(**(GENERIC_HELLO if generic else {"op": "reset"}))["ok"]
+
+
+# ------------------------------------------------------------ decoder fuzz
+
+FUZZ = hyp_settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+#: The six operations of ``repro.remote/3``.
+OPERATIONS = ("hello", "execute", "replay", "step", "reset", "shutdown")
+
+#: The error classes a host reply may name.
+WIRE_ERRORS = {
+    "RemoteProtocolError",
+    "FaultInjectionError",
+    "TestTimeoutError",
+    "ReplayError",
+    "ModelError",
+    "ExecutionError",
+}
+
+#: Arbitrary JSON values: the junk a frame field may carry.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 2**40)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: A ``step_deadline`` the host watchdog can never fire on (junk, or at
+#: least 10^6 s): a watchdog that fires ends this whole process.
+UNWATCHED = JSON_VALUES.filter(
+    lambda value: isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < 1e6
+)
+
+FUZZ_FRAMES = st.fixed_dictionaries(
+    {"op": st.sampled_from(OPERATIONS) | JSON_VALUES},
+    optional={
+        "armed": JSON_VALUES,
+        "version": st.just(REMOTE_PROTOCOL_VERSION) | JSON_VALUES,
+        "automaton": JSON_VALUES,
+        "name": JSON_VALUES,
+        "fault": JSON_VALUES,
+        "inputs": JSON_VALUES,
+        "testcase": st.fixed_dictionaries({"name": st.text(max_size=4)}, optional={"steps": JSON_VALUES})
+        | JSON_VALUES,
+        "recording": st.fixed_dictionaries({"component": st.just("server")}, optional={"steps": JSON_VALUES})
+        | JSON_VALUES,
+        "steps": JSON_VALUES,
+        "step_timeout": JSON_VALUES,
+        "step_deadline": UNWATCHED,
+    },
+)
+
+#: A frame header: ``None`` for the body's true length, an arbitrary
+#: length prefix, or a stray (possibly short) run of header bytes.
+HEADERS = st.none() | st.integers(0, 2**32 - 1) | st.binary(max_size=3)
+BODIES = st.binary(max_size=64) | JSON_VALUES.map(lambda value: json.dumps(value).encode())
+
+
+def raw_frame(header, body: bytes) -> bytes:
+    if header is None:
+        header = len(body)
+    if isinstance(header, int):
+        header = header.to_bytes(4, "big")
+    return header + body
+
+
+class TestDecoderFuzz:
+    @given(header=HEADERS, body=BODIES)
+    @FUZZ
+    def test_receive_decodes_a_frame_or_raises_one_typed_error(self, header, body):
+        left, _, fds = pipe_pair()
+        fds = list(fds)
+        try:
+            os.write(fds[1], raw_frame(header, body))
+            os.close(fds.pop(1))  # EOF after the bytes: nothing may wait
+            try:
+                payload = left.receive(1.0)
+            except (RemoteProtocolError, RemoteCrashError):
+                return
+            assert isinstance(payload, dict)
+            if header is None:
+                assert payload == json.loads(body)
+        finally:
+            close_fds(fds)
+
+    @given(frame=FUZZ_FRAMES, generic=st.booleans())
+    @FUZZ
+    def test_host_answers_every_frame_exactly_once(self, frame, generic):
+        op = frame["op"]
+        with HostHarness(None if generic else server_component()) as harness:
+            reply = harness.request(**frame)
+            if op == "shutdown":
+                assert reply == {"ok": True} and harness.served() == 0
+                return
+            if not reply["ok"]:
+                assert reply["error"] in WIRE_ERRORS, reply
+                if op not in OPERATIONS or generic and op != "hello":
+                    assert reply["error"] == "RemoteProtocolError", reply
+            watchdog = harness.host._watchdog._thread
+            assert watchdog is None or watchdog.is_alive()
+            # Exactly one reply: the next frame gets its own answer.
+            probe = harness.request(op="hello", version=-1)
+            assert "version mismatch" in probe["message"]
+            harness.request(op="shutdown")
+            assert harness.served() == 0  # no exception escaped serve()
+
+    @given(header=HEADERS, body=BODIES)
+    @FUZZ
+    def test_host_ends_cleanly_on_raw_bytes(self, header, body):
+        with HostHarness(server_component()) as harness:
+            harness.write_raw(raw_frame(header, body))
+            ended = harness.served()
+            assert ended in (0, 2)
+            if isinstance(header, int) and not 0 < header <= MAX_FRAME_BYTES:
+                assert ended == 2
 
 
 # ------------------------------------------------- subprocess supervision
@@ -547,9 +721,6 @@ class TestRemoteComponentParity:
             assert interface_of(remote) == interface_of(local)
             for inputs in (frozenset({"ping"}), frozenset(), frozenset({"ping"})):
                 assert outcome_tuple(remote.step(inputs)) == outcome_tuple(local.step(inputs))
-            with remote.instrumented(Instrumentation.FULL, live=False):
-                with local.instrumented(Instrumentation.FULL, live=False):
-                    assert remote.monitor_state() == local.monitor_state()
             assert (remote.steps_executed, remote.resets, remote.state_probes) == (
                 local.steps_executed,
                 local.resets,
@@ -557,7 +728,6 @@ class TestRemoteComponentParity:
             )
             remote.reset(), local.reset()
             assert remote.period == local.period == 0
-            assert remote.ping()
             assert remote.fault_injection_active is False
 
     def test_spec_served_factory_component(self):
@@ -841,6 +1011,42 @@ class TestRemoteComponentFailures:
             remote.reset()  # already reported: respawns quietly
             assert remote.alive and remote.pid != pid
 
+    @pytest.mark.parametrize("fault_seed", [None, "1", "2", "3"])
+    def test_reset_straight_after_interrupt_respawns_quietly(self, monkeypatch, fault_seed):
+        # Right after the SIGKILL the host may still poll as running; the
+        # reported death must still mean a quiet respawn, not a crash.
+        if fault_seed is None:
+            monkeypatch.delenv(FAULT_SEED_ENV, raising=False)
+        else:
+            monkeypatch.setenv(FAULT_SEED_ENV, fault_seed)
+        with rehost(server_component(), remote_policy()) as remote:
+            for round_ in range(1, 4):
+                pid = remote.pid
+                remote.interrupt("test-deadline")
+                remote.reset()
+                assert remote.alive and remote.pid != pid
+                assert remote.remote_stats["component_respawns"] == round_
+
+    def test_kill_inside_an_armed_scope_needs_no_reconciliation(self, monkeypatch):
+        profile = FaultProfile.single(FaultKind.TRANSIENT_ERROR, 1.0, seed=3)
+        with rehost(server_component(), remote_policy(), fault_profile=profile) as remote:
+            with remote.inject_faults():
+                with pytest.raises(FaultInjectionError):
+                    execute_test(remote, happy_case())
+                assert remote.fault_counts["transient_error"] == 1
+                os.kill(remote.pid, signal.SIGKILL)
+                remote._process.wait(timeout=10)
+                sent = count_frames(monkeypatch)
+                with pytest.raises(RemoteCrashError, match="between operations"):
+                    execute_test(remote, happy_case())
+                # The fresh host starts its own tally; the next frame is armed.
+                assert remote.fault_counts["transient_error"] == 0
+                with pytest.raises(FaultInjectionError):
+                    execute_test(remote, happy_case())
+                assert remote.fault_counts["transient_error"] == 1
+            assert sent == ["hello", "execute"]
+            assert execute_test(remote, happy_case()).confirmed  # unarmed again
+
     def test_closed_proxy_refuses_operations(self):
         remote = rehost(server_component(), remote_policy())
         remote.close()
@@ -958,6 +1164,19 @@ def _model_fingerprint(result):
     )
 
 
+def count_frames(monkeypatch) -> list:
+    """The ``op`` of every frame sent from now on, in order."""
+    sent = []
+    real_send = FrameChannel.send
+
+    def counting_send(channel, payload):
+        sent.append(payload.get("op"))
+        real_send(channel, payload)
+
+    monkeypatch.setattr(FrameChannel, "send", counting_send)
+    return sent
+
+
 class TestLoopIntegration:
     def test_convoy_verdict_is_bit_identical_to_in_process(self):
         baseline = _convoy().run()
@@ -983,16 +1202,9 @@ class TestLoopIntegration:
     def test_one_frame_per_execution_and_per_replay(self, monkeypatch):
         # Pins the round-trip count: a slide back to per-step RPC sends
         # thousands of frames on this workload.  Fault-free: an armed
-        # profile adds arm/disarm frames and retries.
+        # profile adds retries.
         monkeypatch.delenv(FAULT_SEED_ENV, raising=False)
-        sent = []
-        real_send = FrameChannel.send
-
-        def counting_send(channel, payload):
-            sent.append(payload.get("op"))
-            real_send(channel, payload)
-
-        monkeypatch.setattr(FrameChannel, "send", counting_send)
+        sent = count_frames(monkeypatch)
         synthesizer = IntegrationSynthesizer(
             railcab.front_role_automaton(),
             railcab.correct_rear_shuttle(convoy_ticks=32),
@@ -1006,10 +1218,26 @@ class TestLoopIntegration:
         assert result.verdict is Verdict.PROVEN
         tests = sum(record.tests_executed for record in result.iterations)
         assert tests > 50
-        spawn_and_close = ["load", "hello", "shutdown"]
+        spawn_and_close = ["hello", "shutdown"]
         assert [op for op in sent if op in spawn_and_close] == spawn_and_close
         assert len(sent) <= 2 * tests + len(spawn_and_close)
         assert "step" not in sent
+
+    def test_chaos_sends_only_whole_run_frames(self, monkeypatch):
+        # Arming travels in the execute/replay frames: a chaos run sends
+        # nothing else, and its records match the in-process chaos run.
+        profile = FaultProfile.mild(2)
+        local = _convoy(SynthesisSettings(fault_profile=profile)).run()
+        sent = count_frames(monkeypatch)
+        synthesizer = _convoy(SynthesisSettings(fault_profile=profile, remote=remote_policy()))
+        result = synthesizer.run()
+        synthesizer.component.close()
+        assert set(sent) == {"hello", "execute", "replay", "shutdown"}
+        assert sent.count("hello") == 1 + synthesizer.component.remote_stats["component_respawns"]
+        assert result.verdict is local.verdict
+        assert result.iterations == local.iterations
+        assert _model_fingerprint(result) == _model_fingerprint(local)
+        assert sum(record.test_retries for record in result.iterations) > 0  # faults fired
 
     def test_kill_during_execute_recovers_to_proven(self, monkeypatch):
         monkeypatch.delenv(FAULT_SEED_ENV, raising=False)  # the kill is the only fault
