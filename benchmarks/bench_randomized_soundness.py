@@ -81,7 +81,7 @@ def test_mutant_sweep_soundness(benchmark):
 
 
 def test_scenario_matrix_soundness(benchmark):
-    """Factory scenarios × full config matrix: zero disagreements.
+    """Factory scenarios × the config matrix: zero disagreements.
 
     Every generated scenario carries a certified known answer; every
     configuration's verdict (and the derived overall verdict) must match

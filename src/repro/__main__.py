@@ -81,7 +81,6 @@ def _settings(args: argparse.Namespace) -> SynthesisSettings:
     return SynthesisSettings(
         max_iterations=getattr(args, "max_iterations", None),
         counterexamples_per_iteration=getattr(args, "counterexamples", 1),
-        incremental=not getattr(args, "no_incremental", False),
         retry_policy=retry_policy,
         fault_profile=fault_profile,
         remote=remote,
@@ -108,10 +107,6 @@ def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--max-iterations", type=int, default=None, metavar="N",
         help="iteration budget (default: the entry point's own default)",
-    )
-    group.add_argument(
-        "--no-incremental", action="store_true",
-        help="rebuild closures/product/checker from scratch every iteration",
     )
     group.add_argument(
         "--test-retries", type=int, default=None, metavar="N",

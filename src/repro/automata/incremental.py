@@ -22,9 +22,7 @@ across iterations:
     Definition 3 depends only on the components' *static* signal
     alphabets, so a left fold over the component transitions reproduces
     :func:`~repro.automata.composition.compose` /
-    :func:`~repro.automata.composition.compose_all` exactly — which the
-    optional ``validate`` mode re-checks against a full recompose,
-    falling back to the from-scratch result on any mismatch.
+    :func:`~repro.automata.composition.compose_all` exactly.
 
 :class:`IncrementalVerifier`
     Ties both together with the model checker's warm start
@@ -60,7 +58,7 @@ from .chaos import (
     chaotic_core_transitions,
     closure_state_transitions,
 )
-from .composition import Semantics, compose, compose_all, composable
+from .composition import Semantics, composable
 from .incomplete import IncompleteAutomaton
 from .interaction import InteractionUniverse
 from ..obs.tracer import NULL_TRACER
@@ -228,7 +226,6 @@ class ProductUpdate:
     dirty_states: frozenset[State]  #: joint states rebuilt this step (checker seeds)
     hits: int
     misses: int
-    fell_back: bool
 
 
 def _joint_edges(
@@ -282,24 +279,12 @@ class IncrementalProduct:
     state is clean; dirty locals invalidate every cached joint that
     mentions them *before* the re-exploration, so a state that is
     temporarily unreachable can never resurrect stale edges.
-
-    With ``validate=True`` every update is cross-checked against a full
-    recompose; a mismatch (which would indicate a bug in the fold) makes
-    the product adopt the from-scratch result and flush its cache.
     """
 
-    def __init__(
-        self,
-        *,
-        semantics: Semantics = "strict",
-        validate: bool = False,
-        tracer=None,
-    ):
+    def __init__(self, *, semantics: Semantics = "strict", tracer=None):
         if semantics not in ("strict", "open"):
             raise CompositionError(f"unknown composition semantics {semantics!r}")
         self.semantics: Semantics = semantics
-        self.validate = validate
-        self.fallbacks = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: joint state -> (sorted outgoing edges, unique targets, labels)
         self._cache: dict[tuple, tuple[tuple[Transition, ...], tuple, frozenset[str]]] = {}
@@ -415,28 +400,9 @@ class IncrementalProduct:
             labels=labels,
             name=name if name is not None else " || ".join(c.name for c in components),
         )
-        dirty_joints: frozenset[State] = frozenset(rebuilt)
-        fell_back = False
-        if self.validate:
-            reference = self._full_recompose(components, name=automaton.name)
-            if automaton != reference:
-                self.fallbacks += 1
-                fell_back = True
-                self._cache.clear()
-                automaton = reference
-                dirty_joints = frozenset(reference.states)
         return ProductUpdate(
-            automaton=automaton,
-            dirty_states=dirty_joints,
-            hits=hits,
-            misses=misses,
-            fell_back=fell_back,
+            automaton=automaton, dirty_states=frozenset(rebuilt), hits=hits, misses=misses
         )
-
-    def _full_recompose(self, components: Sequence[Automaton], *, name: str) -> Automaton:
-        if len(components) == 2:
-            return compose(components[0], components[1], semantics=self.semantics, name=name)
-        return compose_all(components, semantics=self.semantics, name=name)
 
 
 # -------------------------------------------------------------------- verifier
@@ -452,7 +418,6 @@ class StepStats:
     product_misses: int = 0
     dirty_states: int = 0
     affected_states: int = 0
-    fell_back: bool = False
 
 
 @dataclass(frozen=True)
@@ -466,14 +431,14 @@ class VerificationStep:
 
 
 class IncrementalVerifier:
-    """The incremental verification engine behind ``incremental=True``.
+    """The synthesis loop's verification engine.
 
     One instance accompanies one synthesis run; :meth:`step` consumes
     the current learned model(s) and yields closures, the composed
     product, and a warm-started checker that together are equal — as
-    automata and as verdicts — to what the from-scratch pipeline
+    automata and as verdicts — to what the from-scratch definitions
     (:func:`chaotic_closure` + :func:`compose`/:func:`compose_all` +
-    cold :class:`ModelChecker`) produces.
+    cold :class:`ModelChecker`) produce.
     """
 
     def __init__(
@@ -483,7 +448,6 @@ class IncrementalVerifier:
         universes: Sequence[InteractionUniverse],
         semantics: Semantics = "strict",
         deterministic_implementation: bool = True,
-        validate: bool = False,
         tracer=None,
     ):
         if not universes:
@@ -500,9 +464,7 @@ class IncrementalVerifier:
         ]
         arity = (1 if context is not None else 0) + len(universes)
         self._product = (
-            IncrementalProduct(semantics=semantics, validate=validate, tracer=self.tracer)
-            if arity > 1
-            else None
+            IncrementalProduct(semantics=semantics, tracer=self.tracer) if arity > 1 else None
         )
         self._checker: "ModelChecker | None" = None
 
@@ -555,7 +517,6 @@ class IncrementalVerifier:
             dirty = product.dirty_states
             stats.product_hits = product.hits
             stats.product_misses = product.misses
-            stats.fell_back = product.fell_back
 
         stats.dirty_states = len(dirty)
         checker = ModelChecker(

@@ -774,11 +774,11 @@ class RemotePolicy:
     spawn_timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.step_deadline is not None and self.step_deadline <= 0:
+        if self.step_deadline is not None and not self.step_deadline > 0:
             raise SynthesisError(
                 f"step_deadline must be positive or None, got {self.step_deadline!r}"
             )
-        if self.spawn_timeout <= 0:
+        if not self.spawn_timeout > 0:
             raise SynthesisError(f"spawn_timeout must be positive, got {self.spawn_timeout!r}")
 
 

@@ -38,7 +38,7 @@ Chrome trace viewers (and the self-time fold of
 The default is :data:`NULL_TRACER`, whose ``span`` returns one shared
 no-op context manager and whose other entry points do nothing — the
 instrumented loop pays only the call itself (the benchmark guards in
-``benchmarks/bench_incremental_loop.py`` pin this below 1% of loop
+``benchmarks/bench_overhead_guards.py`` pin this below 1% of loop
 time), and ``enabled`` is ``False`` so call sites skip building
 payloads.  :func:`resolve_tracer` turns the ``REPRO_TRACE`` /
 ``REPRO_TRACE_FORMAT`` / ``REPRO_BLACKBOX`` variables into sinks on one

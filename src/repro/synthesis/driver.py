@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Sequence
 
 from ..automata.automaton import Automaton
-from ..automata.chaos import chaotic_closure, is_chaos_state
+from ..automata.chaos import is_chaos_state
 from ..automata.incomplete import IncompleteAutomaton
 from ..automata.incremental import IncrementalVerifier, StepStats
 from ..automata.interaction import Interaction, InteractionUniverse
@@ -93,8 +93,6 @@ class _IterationScratch:
 
 #: Counters of an iteration that tested nothing (proof, fast conflict).
 _NO_WORK = _IterationScratch()
-#: Engine counters of a from-scratch verification.
-_NO_STATS = StepStats()
 
 
 @dataclass(slots=True)
@@ -165,7 +163,6 @@ class _LoopDriver:
         self.counterexample_strategy = counterexample_strategy
         self.counterexamples_per_iteration = settings.counterexamples_per_iteration
         self.port = port
-        self.incremental = settings.incremental
         # Violations of properties mentioning the deadlock atom or an
         # eventuality (AF/AU) can hinge on the closure's *pessimistic
         # refusals* — a path that merely might end.  Only those need the
@@ -214,10 +211,6 @@ class _LoopDriver:
         return {}
 
     def _closure_names(self, index: int) -> Sequence[str]:
-        raise NotImplementedError
-
-    def _compose(self, closures: Sequence[Automaton]) -> Automaton:
-        """The from-scratch product of the context and the closures."""
         raise NotImplementedError
 
     def _test_and_learn(
@@ -270,18 +263,13 @@ class _LoopDriver:
             synthesizer=self._synthesizer,
             **self._loop_info(),
             max_iterations=self.max_iterations,
-            incremental=self.incremental,
         )
-        engine = (
-            IncrementalVerifier(
-                context=self.context,
-                universes=[slot.universe for slot in self.slots],
-                semantics=self.composition_semantics,
-                deterministic_implementation=True,
-                tracer=tracer,
-            )
-            if self.incremental
-            else None
+        engine = IncrementalVerifier(
+            context=self.context,
+            universes=[slot.universe for slot in self.slots],
+            semantics=self.composition_semantics,
+            deterministic_implementation=True,
+            tracer=tracer,
         )
         check = None
         for index in range(self.max_iterations):
@@ -358,22 +346,15 @@ class _LoopDriver:
     def _knowledge(self) -> int:
         return sum(slot.model.knowledge_size() for slot in self.slots)
 
-    def _verify(self, engine: IncrementalVerifier | None, index: int) -> _Check:
+    def _verify(self, engine: IncrementalVerifier, index: int) -> _Check:
         """Model-check ``context ∥ chaos(M_1) ∥ … ⊨ φ_weak`` and ``¬δ``."""
         tracer = self.tracer
-        names = self._closure_names(index)
-        if engine is not None:
-            step = engine.step(
-                [slot.model for slot in self.slots], closure_names=names, name=self._product_name
-            )
-            closures, composed, checker = step.closures, step.composed, step.checker
-            stats = step.stats
-        else:
-            with tracer.span("verify.step", models=len(self.slots)):
-                closures = self._closures(names)
-                composed = self._compose(closures)
-                checker = ModelChecker(composed, tracer=tracer)
-            stats = _NO_STATS
+        step = engine.step(
+            [slot.model for slot in self.slots],
+            closure_names=self._closure_names(index),
+            name=self._product_name,
+        )
+        composed, checker, stats = step.composed, step.checker, step.stats
         with tracer.span("checker.check", kind="property"):
             property_holds = checker.check(self.weakened_property).holds
         with tracer.span("checker.check", kind="deadlock"):
@@ -392,12 +373,8 @@ class _LoopDriver:
                 dirty_states=stats.dirty_states,
                 affected_states=stats.affected_states,
             )
-        return _Check(index, closures, composed, checker, stats, property_holds, deadlock_free)
-
-    def _closures(self, names: Sequence[str]) -> tuple[Automaton, ...]:
-        return tuple(
-            chaotic_closure(slot.model, slot.universe, deterministic_implementation=True, name=name)
-            for slot, name in zip(self.slots, names)
+        return _Check(
+            index, step.closures, composed, checker, stats, property_holds, deadlock_free
         )
 
     def _note(

@@ -35,7 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..automata.automaton import Automaton, State
-from ..automata.composition import Semantics, compose
+from ..automata.composition import Semantics
 from ..automata.incomplete import IncompleteAutomaton
 from ..automata.interaction import Interaction, InteractionUniverse
 from ..automata.runs import Run
@@ -97,7 +97,7 @@ class IterationRecord:
     replays_executed: int
     observed_run: Run | None
     knowledge_gained: int
-    # Incremental-engine counters (all zero when ``incremental=False``).
+    # Incremental-engine counters.
     closure_groups_reused: int = 0
     closure_groups_rebuilt: int = 0
     product_hits: int = 0
@@ -105,7 +105,7 @@ class IterationRecord:
     dirty_states: int = 0
     affected_states: int = 0
     #: Worklist operations the checker spent on this iteration's fixpoints
-    #: (populated on both paths; warm starts should show less work).
+    #: (warm starts should show less work).
     checker_fixpoint_work: int = 0
     # Robust-execution counters (all zero on a fault-free run with the
     # default retry policy).  ``tests_executed`` counts live attempts,
@@ -229,8 +229,8 @@ class IntegrationSynthesizer(_LoopDriver):
     settings:
         The consolidated loop-tuning knobs
         (:class:`~repro.synthesis.settings.SynthesisSettings`):
-        iteration budget, counterexample batching, incrementality,
-        test supervision, remote execution, and observability.
+        iteration budget, counterexample batching, test supervision,
+        remote execution, and observability.
     initial_knowledge:
         Warm-start the series from a previously learned model instead of
         the trivial ``M_l^0`` — e.g. the ``final_model`` of an earlier
@@ -374,9 +374,6 @@ class IntegrationSynthesizer(_LoopDriver):
 
     def _closure_names(self, index: int) -> list[str]:
         return [f"M_a^{index}"]
-
-    def _compose(self, closures) -> Automaton:
-        return compose(self.context, closures[0], semantics=self.composition_semantics)
 
     def _record(self, check: _Check, violated, cex, scratch: _IterationScratch, fast, gained):
         model = self._slot.model

@@ -33,7 +33,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..automata.automaton import Automaton, State
-from ..automata.composition import compose_all
 from ..automata.incomplete import IncompleteAutomaton
 from ..automata.interaction import InteractionUniverse
 from ..automata.runs import Run
@@ -76,7 +75,7 @@ class MultiIterationRecord:
     tests_executed: int
     components_learned: tuple[str, ...]
     knowledge_gained: int
-    # Incremental-engine counters (all zero when ``incremental=False``).
+    # Incremental-engine counters.
     closure_groups_reused: int = 0
     closure_groups_rebuilt: int = 0
     product_hits: int = 0
@@ -249,14 +248,6 @@ class MultiLegacySynthesizer(_LoopDriver):
 
     def _closure_names(self, index: int) -> list[str]:
         return self._chaos_names
-
-    def _compose(self, closures: Sequence[Automaton] | None = None) -> Automaton:
-        if closures is None:
-            closures = self._closures(self._chaos_names)
-        parts = [self.context, *closures] if self.context is not None else list(closures)
-        if len(parts) == 1:
-            return parts[0]
-        return compose_all(parts, semantics="open", name="multi-closure")
 
     def _project_case(self, cex: Run, slot: _Slot) -> TestCase:
         if self._bare:

@@ -5,10 +5,6 @@
 :class:`~repro.synthesis.iterate.IntegrationSynthesizer`, and
 :class:`~repro.synthesis.multi.MultiLegacySynthesizer` all accept as
 ``settings=``.
-
-``incremental`` does not change *what* is synthesized — verdicts,
-counterexamples, and learned models are bit-identical either way; it
-only trades memory for time (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -44,10 +40,6 @@ class SynthesisSettings:
         Derive up to this many counterexamples from each failed check
         and test/learn all of them before re-verifying (the batching
         optimisation proposed in the paper's conclusion).
-    incremental:
-        Carry closures, the composed product, and the checker's
-        fixpoints across iterations (default), rebuilding only what a
-        learning step invalidated.
     retry_policy:
         The :class:`repro.testing.robust.RetryPolicy` supervising every
         test execution: retry budget, backoff, per-step/per-test
@@ -90,7 +82,6 @@ class SynthesisSettings:
 
     max_iterations: int | None = None
     counterexamples_per_iteration: int = 1
-    incremental: bool = True
     retry_policy: RetryPolicy | None = None
     fault_profile: FaultProfile | None = None
     remote: RemotePolicy | bool | None = None

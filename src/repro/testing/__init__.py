@@ -31,7 +31,6 @@ from .scenario import (
     build_scenario,
     default_matrix,
     evaluate_scenario,
-    full_matrix,
     generate_scenario,
     ground_truth,
     run_scenario,
@@ -85,7 +84,6 @@ __all__ = [
     "ground_truth",
     "run_scenario",
     "default_matrix",
-    "full_matrix",
     "evaluate_scenario",
     "baseline_verdicts",
     "spec_fingerprint",

@@ -25,7 +25,7 @@ are retried in later iterations.
 
 The fault-free fast path adds one ``try`` block and a handful of
 attribute reads per test — pinned ≤5% of loop time by
-``benchmarks/bench_incremental_loop.py::test_robust_overhead_guard``.
+``benchmarks/bench_overhead_guards.py::test_robust_overhead_guard``.
 """
 
 from __future__ import annotations
@@ -121,14 +121,17 @@ class RetryPolicy:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise SynthesisError(f"{name} must be a positive integer, got {value!r}")
-        if self.backoff_base < 0 or self.backoff_factor < 1 or self.backoff_jitter < 0:
+        # Negated comparisons, so NaN (false under every comparison) fails.
+        if not (
+            self.backoff_base >= 0 and self.backoff_factor >= 1 and self.backoff_jitter >= 0
+        ):
             raise SynthesisError(
                 "backoff_base/backoff_jitter must be >= 0 and backoff_factor >= 1, got "
                 f"{self.backoff_base!r}/{self.backoff_jitter!r}/{self.backoff_factor!r}"
             )
         for name in ("step_timeout", "test_timeout"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise SynthesisError(f"{name} must be positive or None, got {value!r}")
 
     @classmethod

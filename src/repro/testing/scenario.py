@@ -18,8 +18,8 @@ the expectation by full-composition model checking —
 ``context ∥ M_r ⊨ φ ∧ ¬δ`` — at construction time.  The campaign
 (:mod:`tools.campaign <tools.campaign>`) re-derives that ground truth
 independently and asserts that every configuration of the synthesis
-loop (incremental on/off, fault-injected or not) and the
-:mod:`repro.baselines` learners agree with it.
+loop (fault-injected or not) and the :mod:`repro.baselines` learners
+agree with it.
 
 Scenario sizes deliberately span two orders of magnitude: a slice of
 scenarios uses a :func:`repro.workloads.counter_client` driver large
@@ -69,7 +69,6 @@ __all__ = [
     "ground_truth",
     "run_scenario",
     "default_matrix",
-    "full_matrix",
     "evaluate_scenario",
     "baseline_verdicts",
     "spec_fingerprint",
@@ -515,31 +514,13 @@ class CampaignConfig:
 
 
 def default_matrix(seed: int = 0) -> tuple[CampaignConfig, ...]:
-    """One config per matrix axis: the per-scenario differential set.
-
-    Each axis of {incremental, fault-profile} is exercised against the
-    baseline; the full 4-cell cross product is available via
-    :func:`full_matrix` for the nightly campaign's deepest slice.
-    """
+    """The per-scenario differential set: fault-free and mild chaos."""
     return (
         CampaignConfig("baseline", SynthesisSettings()),
-        CampaignConfig("non-incremental", SynthesisSettings(incremental=False)),
         CampaignConfig(
             "chaos-mild",
             SynthesisSettings(fault_profile=FaultProfile.mild(seed % 1009 + 1)),
         ),
-    )
-
-
-def full_matrix(seed: int = 0) -> tuple[CampaignConfig, ...]:
-    """The full cross product: incremental × fault profile."""
-    return tuple(
-        CampaignConfig(
-            f"{'inc' if incremental else 'noinc'}-{'mild' if faults else 'nofault'}",
-            SynthesisSettings(incremental=incremental, fault_profile=faults),
-        )
-        for incremental in (True, False)
-        for faults in (None, FaultProfile.mild(seed % 1009 + 1))
     )
 
 

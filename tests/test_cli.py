@@ -39,8 +39,10 @@ class TestRailcabCommand:
         assert "proven" in capsys.readouterr().out
 
     def test_no_incremental_flag(self, capsys):
-        assert main(["railcab", "--shuttle", "correct", "--no-incremental"]) == 0
-        assert "proven" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["railcab", "--shuttle", "correct", "--no-incremental"])
+        assert exit_info.value.code == 2
+        assert "--no-incremental" in capsys.readouterr().err
 
     def test_report_flag_writes_markdown(self, capsys, tmp_path):
         path = tmp_path / "report.md"

@@ -202,7 +202,7 @@ class TestDump:
         assert "flight_recorder" not in fingerprint
         assert "tracer" not in fingerprint
         assert "progress" not in fingerprint
-        assert fingerprint["incremental"] is True
+        assert fingerprint["counterexamples_per_iteration"] == 1
         assert settings_fingerprint(None) is None
 
 

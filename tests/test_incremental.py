@@ -6,9 +6,10 @@ chaotic closure, product, and warm-started checker have to be equal —
 as automata, verdicts, and satisfaction sets — to rebuilding everything
 from scratch each iteration.  Hypothesis drives random deterministic
 servers through random observation/learning sequences and checks
-exactly that; the end-to-end tests assert that ``incremental=True``
-(the default) and ``incremental=False`` reach identical synthesis
-results on the RailCab workloads.
+exactly that.  :class:`ScratchVerifier` is the naive reference: the
+end-to-end tests install it in place of the engine and assert that the
+loop produces the same results, record by record, on the RailCab
+workloads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, fields, replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,9 +35,15 @@ from repro.automata import (
     compose,
     compose_all,
 )
-from repro.automata.incremental import ClosureCache, IncrementalProduct, IncrementalVerifier
+from repro.automata.incremental import (
+    ClosureCache,
+    IncrementalProduct,
+    IncrementalVerifier,
+    StepStats,
+    VerificationStep,
+)
 from repro.logic import DEADLOCK_FREE, ModelChecker, parse
-from repro.synthesis import IntegrationSynthesizer, SynthesisSettings, Verdict, learn
+from repro.synthesis import IntegrationSynthesizer, Verdict, driver, learn
 from repro.synthesis.multi import MultiLegacySynthesizer
 
 SETTINGS = settings(
@@ -160,6 +168,70 @@ FORMULAS = (
 )
 
 
+# ------------------------------------------------------------ reference oracle
+
+
+@dataclass(kw_only=True)
+class ScratchVerifier:
+    """The naive reference for :class:`IncrementalVerifier`.
+
+    Every :meth:`step` rebuilds each closure with :func:`chaotic_closure`,
+    the product with :func:`compose` / :func:`compose_all`, and checks it
+    with a cold :class:`ModelChecker` — the literal per-iteration
+    re-verification of §4.  It takes the engine's constructor keywords
+    and keeps no cache, so its step counters stay zero.  Install it with
+    :func:`on_scratch`.
+    """
+
+    context: Automaton | None
+    universes: list
+    semantics: str = "strict"
+    deterministic_implementation: bool = True
+    tracer: object = None
+
+    def step(self, models, *, closure_names=None, name=None) -> VerificationStep:
+        names = closure_names if closure_names is not None else [None] * len(models)
+        closures = tuple(
+            chaotic_closure(
+                model,
+                universe,
+                deterministic_implementation=self.deterministic_implementation,
+                name=closure_name,
+            )
+            for model, universe, closure_name in zip(models, self.universes, names)
+        )
+        parts = [self.context, *closures] if self.context is not None else list(closures)
+        if len(parts) == 1:
+            composed = parts[0]
+        elif len(parts) == 2:
+            composed = compose(*parts, semantics=self.semantics, name=name)
+        else:
+            composed = compose_all(parts, semantics=self.semantics, name=name)
+        return VerificationStep(closures, composed, ModelChecker(composed), StepStats())
+
+
+def on_scratch(monkeypatch, run):
+    """``run()`` with :class:`ScratchVerifier` in place of the engine."""
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "IncrementalVerifier", ScratchVerifier)
+        return run()
+
+
+#: Record fields that count the engine's work; the reference has no cache.
+WORK_COUNTERS = dict.fromkeys(
+    [field.name for field in fields(StepStats)] + ["checker_fixpoint_work"], 0
+)
+
+
+def assert_same_records(engine_result, reference_result) -> None:
+    """Equal iteration records, field by field, apart from the work counters."""
+    # The reference really ran: it reuses nothing.
+    assert not any(record.closure_groups_reused for record in reference_result.iterations)
+    engine = [replace(record, **WORK_COUNTERS) for record in engine_result.iterations]
+    reference = [replace(record, **WORK_COUNTERS) for record in reference_result.iterations]
+    assert engine == reference
+
+
 # ------------------------------------------------------------ closure and product
 
 
@@ -209,23 +281,6 @@ def test_incremental_nary_product_equals_compose_all(models_a, models_b):
         assert step.automaton == compose_all(
             [up_a.closure, up_b.closure], semantics="open"
         )
-
-
-@SETTINGS
-@given(model_evolutions())
-def test_product_with_validation_never_falls_back(models):
-    """The ``validate=True`` cross-check confirms every update."""
-    client = _client()
-    cache = ClosureCache(UNIVERSE, deterministic_implementation=True)
-    product = IncrementalProduct(semantics="strict", validate=True)
-    for model in models:
-        update = cache.update(model)
-        step = product.update(
-            [client, update.closure], [frozenset(), update.dirty_states]
-        )
-        assert not step.fell_back
-        assert step.automaton == compose(client, update.closure, semantics="strict")
-    assert product.fallbacks == 0
 
 
 @SETTINGS
@@ -317,39 +372,38 @@ def test_warm_checker_equals_cold_checker(models):
 @SETTINGS
 @given(model_evolutions(min_steps=3))
 def test_verifier_step_equals_scratch_pipeline(models):
-    """The bundled engine (closure+product+checker) mirrors the loop's cold path."""
+    """The bundled engine (closure+product+checker) equals the reference."""
     client = _client()
     engine = IncrementalVerifier(context=client, universes=[UNIVERSE])
+    reference = ScratchVerifier(context=client, universes=[UNIVERSE])
     for model in models:
         step = engine.step([model])
-        closure = chaotic_closure(model, UNIVERSE, deterministic_implementation=True)
-        composed = compose(client, closure, semantics="strict")
-        assert step.closures[0] == closure
-        assert step.composed == composed
-        cold = ModelChecker(composed)
+        expected = reference.step([model])
+        assert step.closures == expected.closures
+        assert step.composed == expected.composed
         for formula in FORMULAS:
-            assert step.checker.sat(formula) == cold.sat(formula), formula
+            assert step.checker.sat(formula) == expected.checker.sat(formula), formula
 
 
 # -------------------------------------------------------------------- end to end
 
 
-def _convoy(incremental: bool, component) -> IntegrationSynthesizer:
+def _convoy(component) -> IntegrationSynthesizer:
     return IntegrationSynthesizer(
         railcab.front_role_automaton(),
         component,
         railcab.PATTERN_CONSTRAINT,
         labeler=railcab.rear_state_labeler,
         port="rearRole",
-        settings=SynthesisSettings(incremental=incremental),
     )
 
 
-def test_end_to_end_correct_shuttle_matches_full():
-    incr = _convoy(True, railcab.correct_rear_shuttle(convoy_ticks=3)).run()
-    full = _convoy(False, railcab.correct_rear_shuttle(convoy_ticks=3)).run()
+def test_end_to_end_correct_shuttle_matches_full(monkeypatch):
+    build = lambda: _convoy(railcab.correct_rear_shuttle(convoy_ticks=3))
+    incr = build().run()
+    full = on_scratch(monkeypatch, lambda: build().run())
     assert incr.verdict is full.verdict is Verdict.PROVEN
-    assert incr.iteration_count == full.iteration_count
+    assert_same_records(incr, full)
     assert incr.final_model == full.final_model
     assert incr.final_closure == full.final_closure
     # The warm path must actually have been warm.
@@ -362,17 +416,18 @@ def test_end_to_end_correct_shuttle_matches_full():
     )
 
 
-def test_end_to_end_faulty_shuttle_matches_full():
-    incr = _convoy(True, railcab.faulty_rear_shuttle()).run()
-    full = _convoy(False, railcab.faulty_rear_shuttle()).run()
+def test_end_to_end_faulty_shuttle_matches_full(monkeypatch):
+    build = lambda: _convoy(railcab.faulty_rear_shuttle())
+    incr = build().run()
+    full = on_scratch(monkeypatch, lambda: build().run())
     assert incr.verdict is full.verdict is Verdict.REAL_VIOLATION
-    assert incr.iteration_count == full.iteration_count
+    assert_same_records(incr, full)
     assert incr.final_model == full.final_model
     assert incr.violation_kind == full.violation_kind
 
 
-def test_end_to_end_multi_legacy_matches_full():
-    def build(incremental: bool) -> MultiLegacySynthesizer:
+def test_end_to_end_multi_legacy_matches_full(monkeypatch):
+    def build() -> MultiLegacySynthesizer:
         return MultiLegacySynthesizer(
             None,
             [railcab.correct_front_shuttle(), railcab.correct_rear_shuttle(convoy_ticks=2)],
@@ -381,11 +436,10 @@ def test_end_to_end_multi_legacy_matches_full():
                 "frontShuttle": railcab.front_state_labeler,
                 "rearShuttle": railcab.rear_state_labeler,
             },
-            settings=SynthesisSettings(incremental=incremental),
         )
 
-    incr = build(True).run()
-    full = build(False).run()
+    incr = build().run()
+    full = on_scratch(monkeypatch, lambda: build().run())
     assert incr.verdict is full.verdict is Verdict.PROVEN
-    assert incr.iteration_count == full.iteration_count
+    assert_same_records(incr, full)
     assert incr.final_models == full.final_models

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import railcab
-from repro.automata import Automaton, Interaction
+from repro.automata import Automaton, Interaction, chaotic_closure, compose_all
 from repro.legacy import LegacyComponent
 from repro.logic import parse
 from repro.synthesis import MultiLegacySynthesizer
@@ -30,6 +30,16 @@ def make_synthesizer(context=None, components=None, property_text="AG not deadlo
     )
 
 
+def closure_product(synthesizer):
+    """``context ∥ chaos(M_1) ∥ …`` of the synthesizer's initial models."""
+    closures = [
+        chaotic_closure(slot.model, slot.universe, deterministic_implementation=True)
+        for slot in synthesizer.slots
+    ]
+    context = [synthesizer.context] if synthesizer.context is not None else []
+    return compose_all([*context, *closures], semantics="open")
+
+
 class TestComposition:
     def test_slots_have_increasing_indices(self):
         synthesizer = make_synthesizer()
@@ -46,7 +56,7 @@ class TestComposition:
 
     def test_compose_without_context_is_pairwise(self):
         synthesizer = make_synthesizer()
-        composed = synthesizer._compose()
+        composed = closure_product(synthesizer)
         state = next(iter(composed.initial))
         assert isinstance(state, tuple) and len(state) == 2
 
@@ -70,7 +80,7 @@ class TestComposition:
         synthesizer = MultiLegacySynthesizer(
             context, [worker1, worker2], parse("AG true"),
         )
-        composed = synthesizer._compose()
+        composed = closure_product(synthesizer)
         state = next(iter(composed.initial))
         assert len(state) == 3
 

@@ -91,8 +91,7 @@ class TestEventContract:
             by_name.setdefault(event.name, event)
 
         started = by_name["loop.started"].payload
-        assert started["synthesizer"] == "IntegrationSynthesizer"
-        assert started["incremental"] is True
+        assert started == {"synthesizer": "IntegrationSynthesizer", "max_iterations": 500}
 
         phase = by_name["phase.finished"].payload
         assert phase["phase"] == "verify"

@@ -1499,6 +1499,12 @@ class TestResolveRemote:
             RemotePolicy(step_deadline=0)
         with pytest.raises(SynthesisError, match="spawn_timeout"):
             RemotePolicy(spawn_timeout=-1)
+        # NaN fails every comparison; it must not slip through as a limit.
+        with pytest.raises(SynthesisError, match="step_deadline"):
+            RemotePolicy(step_deadline=float("nan"))
+        with pytest.raises(SynthesisError, match="spawn_timeout"):
+            RemotePolicy(spawn_timeout=float("nan"))
+        assert RemotePolicy(step_deadline=float("inf")).step_deadline == float("inf")
 
 
 class TestRehostRefusals:

@@ -103,6 +103,11 @@ class TestRetryPolicy:
             {"backoff_jitter": -1.0},
             {"step_timeout": 0.0},
             {"test_timeout": -2.0},
+            {"backoff_base": float("nan")},
+            {"backoff_factor": float("nan")},
+            {"backoff_jitter": float("nan")},
+            {"step_timeout": float("nan")},
+            {"test_timeout": float("nan")},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):

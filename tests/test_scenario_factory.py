@@ -4,10 +4,11 @@ Covers the conformance-campaign machinery itself: generation is
 deterministic and hash-seed independent, every generated scenario's
 certified expectation matches independently re-derived full-composition
 truth, specs survive the JSON round-trip, the config matrix agrees on a
-sweep of scenarios, and the delta-debugging shrinker minimizes failing
-specs while re-certifying their known answer.  The committed regression
-fixtures under ``tests/fixtures/scenarios/`` are exercised in
-``test_scenario_fixtures.py``.
+sweep of scenarios, the loop's verification engine matches the naive
+from-scratch reference on that sweep, and the delta-debugging shrinker
+minimizes failing specs while re-certifying their known answer.  The
+committed regression fixtures under ``tests/fixtures/scenarios/`` are
+exercised in ``test_scenario_fixtures.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ModelError
+from repro.integration import integrate
 from repro.testing import (
     ScenarioSpec,
     baseline_verdicts,
@@ -22,13 +24,13 @@ from repro.testing import (
     ddmin,
     default_matrix,
     evaluate_scenario,
-    full_matrix,
     generate_scenario,
     ground_truth,
     run_scenario,
     shrink_scenario,
     spec_fingerprint,
 )
+from tests.test_incremental import assert_same_records, on_scratch
 
 SWEEP = range(1, 25)
 
@@ -106,17 +108,35 @@ def test_matrix_agreement_on_slice():
         assert evaluation.ok, (seed, evaluation.disagreements)
         assert {outcome.config for outcome in evaluation.outcomes} == {
             "baseline",
-            "non-incremental",
             "chaos-mild",
         }
 
 
-def test_full_matrix_is_the_four_cell_cross():
-    configs = full_matrix(0)
-    assert len(configs) == 4
-    assert len({config.name for config in configs}) == 4
-    evaluation = evaluate_scenario(generate_scenario(4, profile="tiny"), configs)
-    assert evaluation.ok, evaluation.disagreements
+def test_engine_matches_scratch_reference_on_sweep(monkeypatch):
+    """The loop's engine and the naive from-scratch reference agree.
+
+    Each scenario goes through ``integrate()`` once on the engine and
+    once on :class:`~tests.test_incremental.ScratchVerifier`: every
+    placement and joint run must reach the same verdict through the
+    same iteration records, apart from the engine's work counters.
+    """
+
+    def runs(scenario) -> dict:
+        report = integrate(scenario.architecture, scenario.components)
+        assert report.architecture.ok and not report.skipped_placements
+        results = dict(report.placements)
+        if report.joint is not None:
+            results["joint"] = report.joint
+        return results
+
+    for seed in SWEEP:
+        scenario = generate_scenario(seed, profile="tiny")
+        engine = runs(scenario)
+        reference = on_scratch(monkeypatch, lambda: runs(scenario))
+        assert engine.keys() == reference.keys(), seed
+        for key, result in engine.items():
+            assert result.verdict is reference[key].verdict, (seed, key)
+            assert_same_records(result, reference[key])
 
 
 def test_joint_scenario_takes_the_joint_path():

@@ -17,6 +17,7 @@ from repro import railcab
 from repro.errors import SynthesisError
 from repro.integration import SynthesisSettings, integrate
 from repro.legacy import interface_of
+from repro.obs import CallbackProgressSink, Tracer
 from repro.synthesis import IntegrationSynthesizer, Verdict
 from repro.synthesis.multi import MultiLegacySynthesizer
 from tests.test_integration_facade import convoy_architecture, two_legacy_architecture
@@ -30,18 +31,19 @@ class TestSynthesisSettings:
         settings = SynthesisSettings()
         assert settings.max_iterations is None
         assert settings.counterexamples_per_iteration == 1
-        assert settings.incremental is True
         assert settings.iterations_or(500) == 500
         assert SynthesisSettings(max_iterations=7).iterations_or(500) == 7
         assert [field.name for field in dataclasses.fields(SynthesisSettings)] == [
             "max_iterations",
             "counterexamples_per_iteration",
-            "incremental",
             "retry_policy",
             "fault_profile",
             "remote",
             "tracer",
         ]
+        # The incremental engine is the loop's only verification path.
+        with pytest.raises(TypeError, match="incremental"):
+            SynthesisSettings(incremental=False)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -131,13 +133,16 @@ class TestIntegrateForwarding:
         assert captured["settings"].counterexamples_per_iteration == 2
 
     def test_single_branch_forwards_settings(self):
+        events = []
         report = integrate(
             convoy_architecture(),
             {"follower": railcab.correct_rear_shuttle(convoy_ticks=1)},
             labelers={"follower": railcab.rear_state_labeler},
-            settings=SynthesisSettings(max_iterations=1, incremental=False),
+            settings=SynthesisSettings(
+                max_iterations=1, tracer=Tracer(CallbackProgressSink(events.append))
+            ),
         )
         result = report.placements["follower"]
         assert result.verdict is Verdict.BUDGET_EXCEEDED
         assert result.iteration_count == 1
-        assert result.iterations[0].closure_groups_reused == 0
+        assert events[0].name == "loop.started"

@@ -3,14 +3,12 @@
 
 Generates ``--count`` seeded scenarios with
 :func:`repro.testing.generate_scenario`, executes each through
-``integrate()`` across the configuration matrix (incremental on/off,
-mild fault injection on/off), and asserts verdict
-agreement with full-composition model checking — plus, on a subsample,
-with the §6 L*/BBC baselines::
+``integrate()`` across the configuration matrix (fault-free and mild
+fault injection), and asserts verdict agreement with full-composition
+model checking — plus, on a subsample, with the §6 L*/BBC baselines::
 
     PYTHONPATH=src python tools/campaign.py --count 1000 --report out.json
     PYTHONPATH=src python tools/campaign.py --count 50 --profile tiny   # PR smoke
-    PYTHONPATH=src python tools/campaign.py --count 200 --matrix full   # 4 configs
 
 Any disagreement is minimized by the delta-debugging shrinker and
 written as a repr-stable fixture into ``--fixtures-dir`` (default
@@ -42,7 +40,6 @@ from repro.testing import (  # noqa: E402
     build_scenario,
     default_matrix,
     evaluate_scenario,
-    full_matrix,
     generate_scenario,
     shrink_scenario,
     spec_fingerprint,
@@ -104,12 +101,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="size envelope (default includes scenarios beyond 2048 product states)",
     )
     parser.add_argument(
-        "--matrix",
-        choices=("default", "full"),
-        default="default",
-        help="default = one config per axis (3); full = 4-cell cross product",
-    )
-    parser.add_argument(
         "--baselines-every",
         type=int,
         default=10,
@@ -144,7 +135,6 @@ def main(argv: "list[str] | None" = None) -> int:
         seeds = [arguments.only_seed]
     else:
         seeds = list(range(arguments.start_seed, arguments.start_seed + arguments.count))
-    matrix = full_matrix if arguments.matrix == "full" else default_matrix
 
     began = time.time()
     rows = []
@@ -158,7 +148,7 @@ def main(argv: "list[str] | None" = None) -> int:
             arguments.baselines_every > 0 and position % arguments.baselines_every == 0
         )
         evaluation = evaluate_scenario(
-            scenario, matrix(seed), with_baselines=with_baselines
+            scenario, default_matrix(seed), with_baselines=with_baselines
         )
         truth_counts[evaluation.truth["scenario"]] += 1
         degraded += len(evaluation.degraded)
@@ -196,7 +186,7 @@ def main(argv: "list[str] | None" = None) -> int:
                     shrunk = shrink_scenario(
                         scenario.spec,
                         disagreement_predicate(
-                            matrix(seed), with_baselines=with_baselines
+                            default_matrix(seed), with_baselines=with_baselines
                         ),
                     )
                     path = write_fixture(
@@ -220,7 +210,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "count": len(seeds),
         "start_seed": seeds[0],
         "profile": arguments.profile,
-        "matrix": arguments.matrix,
         "failures": failures,
         "bbc_false_alarms": false_alarms,
         "chaos_degradations": degraded,

@@ -15,9 +15,9 @@ containment per track, a span's *self* time is its duration minus its
 children's, and rows sort by self time descending.  ``--summary`` adds
 the per-iteration phase table when the trace contains ``loop.iteration``
 spans.  ``--diff OLD NEW`` compares two recordings of the same workload
-span-name by span-name (:func:`repro.obs.fold_diff`) — the regression
-attribution half of ``tools/bench_trend.py``: the trend says *that* a
-section slowed down, the fold diff says *which spans* absorbed the time.
+span-name by span-name (:func:`repro.obs.fold_diff`): where
+``benchmarks/e2e/compare.py`` says *that* a workload slowed down, the
+fold diff says *which spans* absorbed the time.
 
 Exit status: 0 on success, 2 on unusable input (missing file, not a
 trace, or a trace with no spans) with a one-line message on stderr.
