@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import railcab
+from .errors import SynthesisError
 from .synthesis import (
     IntegrationSynthesizer,
     MultiLegacySynthesizer,
@@ -34,23 +36,9 @@ def _settings(args: argparse.Namespace) -> SynthesisSettings:
     Flags left at their defaults defer to the environment knobs
     (``REPRO_TRACE``, ``REPRO_BLACKBOX``, ``REPRO_TEST_RETRIES``,
     ``REPRO_FAULT_SEED``, ``REPRO_REMOTE``) inside
-    :class:`SynthesisSettings` resolution.
+    :class:`SynthesisSettings` resolution.  An out-of-range flag raises
+    :class:`~repro.errors.SynthesisError` before any trace file opens.
     """
-    tracer = None
-    trace_path = getattr(args, "trace", None)
-    blackbox_dir = getattr(args, "blackbox", None)
-    if trace_path or blackbox_dir or getattr(args, "progress", False):
-        from .obs import FlightRecorder, TraceFile, Tracer, TtyProgressSink, env_sinks
-
-        # Each flag wins over its variable; the variables still supply
-        # the sinks no flag asked for.
-        tracer = Tracer(
-            TraceFile(trace_path, format=args.trace_format) if trace_path else None,
-            FlightRecorder(blackbox_dir) if blackbox_dir else None,
-            TtyProgressSink() if args.progress else None,
-            *env_sinks(trace=not trace_path, blackbox=not blackbox_dir),
-        )
-        args._tracer = tracer
     retry_policy = None
     test_retries = getattr(args, "test_retries", None)
     test_timeout = getattr(args, "test_timeout", None)
@@ -58,10 +46,9 @@ def _settings(args: argparse.Namespace) -> SynthesisSettings:
         from .testing import RetryPolicy
 
         base = RetryPolicy.from_env()
-        retry_policy = RetryPolicy(
-            max_attempts=(base.max_attempts if test_retries is None else test_retries + 1),
-            replay_attempts=base.replay_attempts,
-            record_rounds=base.record_rounds,
+        retry_policy = replace(
+            base,
+            max_attempts=base.max_attempts if test_retries is None else test_retries + 1,
             test_timeout=test_timeout,
         )
     fault_profile = None
@@ -78,14 +65,28 @@ def _settings(args: argparse.Namespace) -> SynthesisSettings:
         remote = RemotePolicy(step_deadline=step_deadline)
     elif getattr(args, "remote", False):
         remote = True
-    return SynthesisSettings(
+    settings = SynthesisSettings(
         max_iterations=getattr(args, "max_iterations", None),
         counterexamples_per_iteration=getattr(args, "counterexamples", 1),
         retry_policy=retry_policy,
         fault_profile=fault_profile,
         remote=remote,
-        tracer=tracer,
     )
+    trace_path = getattr(args, "trace", None)
+    blackbox_dir = getattr(args, "blackbox", None)
+    if trace_path or blackbox_dir or getattr(args, "progress", False):
+        from .obs import FlightRecorder, TraceFile, Tracer, TtyProgressSink, env_sinks
+
+        # Each flag wins over its variable; the variables still supply
+        # the sinks no flag asked for.
+        args._tracer = Tracer(
+            TraceFile(trace_path, format=args.trace_format) if trace_path else None,
+            FlightRecorder(blackbox_dir) if blackbox_dir else None,
+            TtyProgressSink() if args.progress else None,
+            *env_sinks(trace=not trace_path, blackbox=not blackbox_dir),
+        )
+        settings = replace(settings, tracer=args._tracer)
+    return settings
 
 
 def _export_trace(args: argparse.Namespace) -> None:
@@ -103,6 +104,8 @@ def _export_trace(args: argparse.Namespace) -> None:
 
 def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
     """The shared loop-tuning flag group (feeds :func:`_settings`)."""
+    # ``main`` reports out-of-range loop flags as this parser's usage error.
+    parser.set_defaults(loop_parser=parser)
     group = parser.add_argument_group("synthesis loop")
     group.add_argument(
         "--max-iterations", type=int, default=None, metavar="N",
@@ -180,7 +183,7 @@ def _run_railcab(args: argparse.Namespace) -> int:
         component,
         railcab.PATTERN_CONSTRAINT,
         labeler=railcab.rear_state_labeler,
-        settings=_settings(args),
+        settings=args.settings,
         port="rearRole",
     )
     result = synthesizer.run()
@@ -222,7 +225,7 @@ def _run_multi(args: argparse.Namespace) -> int:
             "frontShuttle": railcab.front_state_labeler,
             "rearShuttle": railcab.rear_state_labeler,
         },
-        settings=_settings(args),
+        settings=args.settings,
     )
     result = synthesizer.run()
     print(f"verdict: {result.verdict.value}")
@@ -297,6 +300,12 @@ def main(argv: list[str] | None = None) -> int:
     compare_parser.set_defaults(handler=_run_compare)
 
     args = parser.parse_args(argv)
+    loop_parser = getattr(args, "loop_parser", None)
+    if loop_parser is not None:
+        try:
+            args.settings = _settings(args)
+        except SynthesisError as error:
+            loop_parser.error(str(error))
     try:
         return args.handler(args)
     except BrokenPipeError:

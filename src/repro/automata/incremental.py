@@ -95,15 +95,8 @@ class ClosureCache:
     the previous call.
     """
 
-    def __init__(
-        self,
-        universe: InteractionUniverse,
-        *,
-        deterministic_implementation: bool = True,
-        tracer=None,
-    ):
+    def __init__(self, universe: InteractionUniverse, *, tracer=None):
         self.universe = universe
-        self.deterministic_implementation = deterministic_implementation
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._core = tuple(sorted(chaotic_core_transitions(universe), key=Transition.sort_key))
         #: per closure-source-state outgoing transitions, each slice sorted
@@ -154,11 +147,10 @@ class ClosureCache:
             dirty_bases.append(state)
             self._signatures[state] = signature
         for state in dirty_bases:
+            # §4.4: without escapes for interactions already in T, every
+            # counterexample leaves the learner something to extract.
             group = closure_state_transitions(
-                incomplete,
-                self.universe,
-                state,
-                deterministic_implementation=self.deterministic_implementation,
+                incomplete, self.universe, state, deterministic_implementation=True
             )
             per_source: dict[State, list[Transition]] = {}
             for transition in group:
@@ -447,7 +439,6 @@ class IncrementalVerifier:
         context: Automaton | None,
         universes: Sequence[InteractionUniverse],
         semantics: Semantics = "strict",
-        deterministic_implementation: bool = True,
         tracer=None,
     ):
         if not universes:
@@ -455,12 +446,7 @@ class IncrementalVerifier:
         self.context = context
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._closure_caches = [
-            ClosureCache(
-                universe,
-                deterministic_implementation=deterministic_implementation,
-                tracer=self.tracer,
-            )
-            for universe in universes
+            ClosureCache(universe, tracer=self.tracer) for universe in universes
         ]
         arity = (1 if context is not None else 0) + len(universes)
         self._product = (

@@ -715,7 +715,7 @@ class ComponentHost:
         limit = _seconds(request.get("step_timeout"), "execute step_timeout")
         with self._watched(request) as component:
             if limit is not None:
-                component = _StepDeadline(component, limit, time.perf_counter)
+                component = _StepDeadline(component, limit)
             execution = execute_test(component, testcase)
         return {
             "ok": True,

@@ -6,13 +6,7 @@ paper's notation.
 """
 
 from .initial import StateLabeler, initial_abstraction, initial_model
-from .iterate import (
-    CounterexampleStrategy,
-    IntegrationSynthesizer,
-    IterationRecord,
-    SynthesisResult,
-    Verdict,
-)
+from .iterate import IntegrationSynthesizer, IterationRecord, SynthesisResult, Verdict
 from .learning import RefusalMode, learn, learn_blocked, learn_regular, refuse
 from .multi import MultiIterationRecord, MultiLegacySynthesizer, MultiSynthesisResult
 from .settings import SynthesisSettings
@@ -42,7 +36,6 @@ __all__ = [
     "SynthesisSettings",
     "IterationRecord",
     "Verdict",
-    "CounterexampleStrategy",
     "MultiLegacySynthesizer",
     "MultiSynthesisResult",
     "MultiIterationRecord",

@@ -122,6 +122,8 @@ class _LoopDriver:
     _synthesizer: str
     #: The module whose globals provide the layer entry points.
     _layers: object
+    #: The composition semantics of the verified product.
+    _semantics: str
     #: The composed product's name (``None``: the engine's default).
     _product_name: str | None = None
     #: Prefix per-slot fault/remote metrics with the slot name.
@@ -138,8 +140,6 @@ class _LoopDriver:
         default_iterations: int,
         refusal_mode: RefusalMode,
         fast_conflict: bool,
-        semantics: str,
-        counterexample_strategy,
         port: str,
     ):
         assert_compositional(property)
@@ -159,8 +159,6 @@ class _LoopDriver:
         self.refusal_mode: RefusalMode = refusal_mode
         self.fast_conflict = fast_conflict
         self.max_iterations = settings.iterations_or(default_iterations)
-        self.composition_semantics = semantics
-        self.counterexample_strategy = counterexample_strategy
         self.counterexamples_per_iteration = settings.counterexamples_per_iteration
         self.port = port
         # Violations of properties mentioning the deadlock atom or an
@@ -267,8 +265,7 @@ class _LoopDriver:
         engine = IncrementalVerifier(
             context=self.context,
             universes=[slot.universe for slot in self.slots],
-            semantics=self.composition_semantics,
-            deterministic_implementation=True,
+            semantics=self._semantics,
             tracer=tracer,
         )
         check = None
@@ -453,8 +450,6 @@ class _LoopDriver:
         self, composed: Automaton, formula: Formula, checker: ModelChecker
     ) -> list[Run]:
         with self.tracer.span("counterexample.derive", limit=self.counterexamples_per_iteration):
-            if self.counterexample_strategy is not None:
-                return [self.counterexample_strategy(composed, formula, checker)]
             if self.counterexamples_per_iteration > 1:
                 batch = self._layers.counterexamples(
                     composed, formula, checker=checker, limit=self.counterexamples_per_iteration
@@ -573,33 +568,22 @@ class _LoopDriver:
 
     # ------------------------------------------------------- replay and learning
 
-    def _replay(self, slot: _Slot, recording, scratch: _IterationScratch) -> ReplayResult:
-        scratch.replays += 1
-        with self.tracer.span("monitor.replay", steps=len(recording.steps)):
-            return self._layers.replay(slot.component, recording, port=self.port)
-
     def _outcome_replay(
         self, slot: _Slot, outcome: RobustExecution, scratch: _IterationScratch
     ) -> ReplayResult:
         """The outcome's validation replay, or a fresh one when absent."""
         if outcome.replay is not None:
             return outcome.replay
-        return self._replay(slot, outcome.execution.recording, scratch)
-
-    def _batch_replays(self, pending: list, scratch: _IterationScratch) -> dict:
-        """Replay ``(key, slot, recording)`` entries in order; ``key → result``.
-
-        The callers execute every test of a batch live first and merge
-        afterwards, so a replay never interleaves with a live execution.
-        """
-        return {key: self._replay(slot, recording, scratch) for key, slot, recording in pending}
+        recording = outcome.execution.recording
+        scratch.replays += 1
+        with self.tracer.span("monitor.replay", steps=len(recording.steps)):
+            return self._layers.replay(slot.component, recording, port=self.port)
 
     def _learn_execution(
         self,
         slot: _Slot,
         outcome: RobustExecution,
         scratch: _IterationScratch,
-        replay_result: ReplayResult | None = None,
     ) -> bool:
         """Merge a finished test execution into the slot's model.
 
@@ -610,9 +594,7 @@ class _LoopDriver:
         Returns whether the model's knowledge grew.
         """
         execution = outcome.execution
-        if replay_result is None:
-            replay_result = self._outcome_replay(slot, outcome, scratch)
-        observed = replay_result.observed_run
+        observed = self._outcome_replay(slot, outcome, scratch).observed_run
         scratch.observed = observed
         layers = self._layers
         model = slot.model

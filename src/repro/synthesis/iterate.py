@@ -31,18 +31,15 @@ so the loop always ends in ``PROVEN`` or ``REAL_VIOLATION`` (the
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..automata.automaton import Automaton, State
-from ..automata.composition import Semantics
 from ..automata.incomplete import IncompleteAutomaton
 from ..automata.interaction import Interaction, InteractionUniverse
 from ..automata.runs import Run
 from ..errors import LearningError, SynthesisError
 from ..legacy.component import LegacyComponent
 from ..legacy.interface import InterfaceDescription, interface_of
-from ..logic.checker import ModelChecker
 
 # The loop's layer entry points, resolved through this module by the
 # driver (see ``_LoopDriver._layers``).
@@ -50,7 +47,6 @@ from ..logic.counterexample import counterexample, counterexamples  # noqa: F401
 from ..logic.formulas import Formula
 from ..testing.executor import TestVerdict
 from ..testing.replay import replay  # noqa: F401
-from ..testing.robust import RobustExecution
 from ..testing.testcase import TestCase, TestStep, test_case_from_counterexample
 from .driver import HOST_FAILURES, Verdict, _Check, _IterationScratch, _LoopDriver, _Slot
 from .initial import StateLabeler, initial_model
@@ -62,18 +58,11 @@ __all__ = [
     "IterationRecord",
     "SynthesisResult",
     "IntegrationSynthesizer",
-    "CounterexampleStrategy",
     "SynthesisSettings",
 ]
 
 #: Default iteration budget of :class:`IntegrationSynthesizer`.
 DEFAULT_MAX_ITERATIONS = 500
-
-#: Hook for custom counterexample selection (the paper's conclusion notes
-#: that counterexample strategies are a tuning point).  Receives the
-#: composed automaton, the violated formula, and a ready checker; must
-#: return a violating run of the composition.
-CounterexampleStrategy = Callable[[Automaton, Formula, ModelChecker], Run]
 
 
 @dataclass(frozen=True)
@@ -244,6 +233,7 @@ class IntegrationSynthesizer(_LoopDriver):
 
     _synthesizer = "IntegrationSynthesizer"
     _layers = sys.modules[__name__]
+    _semantics = "strict"
 
     def __init__(
         self,
@@ -256,8 +246,6 @@ class IntegrationSynthesizer(_LoopDriver):
         refusal_mode: RefusalMode = "deterministic",
         fast_conflict: bool = True,
         settings: SynthesisSettings | None = None,
-        composition_semantics: Semantics = "strict",
-        counterexample_strategy: CounterexampleStrategy | None = None,
         initial_knowledge: IncompleteAutomaton | None = None,
         validate_knowledge: bool = True,
         port: str = "port",
@@ -269,8 +257,6 @@ class IntegrationSynthesizer(_LoopDriver):
             default_iterations=DEFAULT_MAX_ITERATIONS,
             refusal_mode=refusal_mode,
             fast_conflict=fast_conflict,
-            semantics=composition_semantics,
-            counterexample_strategy=counterexample_strategy,
             port=port,
         )
         component = self._prepare(component, 0)
@@ -416,10 +402,12 @@ class IntegrationSynthesizer(_LoopDriver):
 
         The work list is the checker's batch plus every quarantined
         counterexample from earlier iterations (an inconclusive test is
-        retried here, not forgotten).  Each entry carries its probing
-        route: quarantined runs keep the route they were pushed with —
-        they may reference stale composed states, and the probing
-        decision only needs ``cex.last_state`` on the context side.
+        retried here, not forgotten).  Entries are handled in order,
+        each executed, replayed and merged before the next.  Each entry
+        carries its probing route: quarantined runs keep the route they
+        were pushed with — they may reference stale composed states, and
+        the probing decision only needs ``cex.last_state`` on the
+        context side.
         """
         composed = check.composed
         work: list[tuple[Run, bool]] = [
@@ -427,28 +415,13 @@ class IntegrationSynthesizer(_LoopDriver):
         ]
         fresh = {repr(candidate) for candidate in batch}
         work.extend(entry for entry in self.quarantine.drain() if repr(entry[0]) not in fresh)
-        groupable = self.fast_conflict and violated == "property"
-        position = 0
-        while position < len(work):
-            candidate, probing = work[position]
-            group = [candidate]
-            if groupable and not probing:
-                # Maximal run of plain property counterexamples: safe to
-                # execute all live first and batch the monitor replays
-                # (none of them can confirm a real violation here — fast
-                # conflict detection already returned for chaos-free
-                # candidates, so all of these visit chaos and are pure
-                # learning material).
-                while position + len(group) < len(work) and not work[position + len(group)][1]:
-                    group.append(work[position + len(group)][0])
+        for position, (candidate, probing) in enumerate(work):
             saved = self._slot.model  # an entry that raises merges nothing
             try:
-                if len(group) > 1:
-                    self._handle_property_batch(group, scratch, offset=position)
-                elif not probing:
-                    self._handle_property_counterexample(candidate, scratch)
-                else:
+                if probing:
                     self._handle_deadlock_counterexample(composed, candidate, scratch)
+                else:
+                    self._handle_property_counterexample(candidate, scratch)
             except LearningError:
                 # Past the first entry, a later counterexample went stale
                 # mid-batch: skipping it is sound.
@@ -462,7 +435,6 @@ class IntegrationSynthesizer(_LoopDriver):
             else:
                 if scratch.real_violation:
                     return (scratch.violation if scratch.violation is not None else candidate), True
-            position += len(group)
         return batch[0], False
 
     def _testcase(self, cex: Run) -> TestCase:
@@ -476,23 +448,16 @@ class IntegrationSynthesizer(_LoopDriver):
     # ------------------------------------------------- property counterexamples
 
     def _handle_property_counterexample(self, cex: Run, scratch: _IterationScratch) -> None:
+        slot = self._slot
         outcome = self._execute_supervised(
-            self._slot, self._testcase(cex), scratch, quarantine_run=cex, probe=False
+            slot, self._testcase(cex), scratch, quarantine_run=cex, probe=False
         )
-        if outcome is not None:  # inconclusive: quarantined, nothing merged
-            self._merge_property_outcome(cex, outcome, scratch)
-
-    def _merge_property_outcome(
-        self,
-        cex: Run,
-        outcome: RobustExecution,
-        scratch: _IterationScratch,
-        replay_result=None,
-    ) -> None:
+        if outcome is None:
+            return  # inconclusive: quarantined, nothing merged
         if outcome.execution.verdict is TestVerdict.CONFIRMED and self._chaos_free(cex):
             # Only reachable with fast_conflict disabled: the violation
             # lives entirely in the synthesized part — a real conflict.
-            if not self._trusted(self._slot, outcome):
+            if not self._trusted(slot, outcome):
                 # Lemma 6: no CONFIRMED verdict without a validated
                 # fault-free run.  Retry later instead of reporting.
                 self._quarantine_push(cex, probe=False)
@@ -502,45 +467,7 @@ class IntegrationSynthesizer(_LoopDriver):
             return
         # §4.2: a chaos-visiting run is never a run of the concrete
         # system; the confirmed behavior is learning material instead.
-        self._learn_execution(self._slot, outcome, scratch, replay_result)
-
-    def _handle_property_batch(
-        self, group: list[Run], scratch: _IterationScratch, *, offset: int
-    ) -> None:
-        """Test a run of plain property counterexamples with batched replays.
-
-        All candidates are executed live first, their monitor replays
-        then run in recorded order, and the observations are merged in
-        the original candidate order.
-        """
-        slot = self._slot
-        outcomes: list[tuple[int, Run, RobustExecution]] = []
-        for index, cex in enumerate(group):
-            outcome = self._execute_supervised(
-                slot, self._testcase(cex), scratch, quarantine_run=cex, probe=False
-            )
-            if outcome is not None:
-                outcomes.append((offset + index, cex, outcome))
-        replayed = self._batch_replays(
-            [
-                (position, slot, outcome.execution.recording)
-                for position, _, outcome in outcomes
-                if outcome.replay is None
-            ],
-            scratch,
-        )
-        for position, cex, outcome in outcomes:
-            try:
-                self._merge_property_outcome(
-                    cex, outcome, scratch, replayed.get(position, outcome.replay)
-                )
-            except LearningError:
-                if not self._absorb_learning_error(slot, cex, scratch, probe=False):
-                    if position == 0:
-                        raise
-                continue  # a later counterexample went stale mid-batch
-            if scratch.real_violation:  # unreachable with fast_conflict on
-                break
+        self._learn_execution(slot, outcome, scratch)
 
     # ------------------------------------------------- deadlock counterexamples
 

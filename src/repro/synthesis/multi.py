@@ -167,6 +167,7 @@ class MultiLegacySynthesizer(_LoopDriver):
 
     _synthesizer = "MultiLegacySynthesizer"
     _layers = sys.modules[__name__]
+    _semantics = "open"
     _product_name = "multi-closure"
     _scoped_metrics = True
 
@@ -195,8 +196,6 @@ class MultiLegacySynthesizer(_LoopDriver):
             default_iterations=DEFAULT_MULTI_MAX_ITERATIONS,
             refusal_mode=refusal_mode,
             fast_conflict=fast_conflict,
-            semantics="open",
-            counterexample_strategy=None,
             port=port,
         )
         universes = universes or {}
@@ -469,11 +468,12 @@ class MultiLegacySynthesizer(_LoopDriver):
     def _learn_extra(self, candidate: Run, scratch: _IterationScratch) -> None:
         """Test an extra counterexample on every slot and learn from it.
 
-        Executions run slot by slot, then the monitor replays run as one
-        batch, then the observations are merged.
+        Each slot's projection is executed, replayed and merged before
+        the next slot's.  A host failure leaves the candidate undecided
+        (retried later against a fresh host); earlier slots keep their
+        merges.
         """
         chaos_free = self._chaos_free(candidate)
-        staged: list[tuple[_Slot, RobustExecution]] = []
         for slot in self.slots:
             case = self._project_case(candidate, slot)
             outcome = self._execute_supervised(
@@ -483,30 +483,14 @@ class MultiLegacySynthesizer(_LoopDriver):
                 continue
             if outcome.execution.verdict is TestVerdict.CONFIRMED and chaos_free:
                 continue
-            staged.append((slot, outcome))
-        try:
-            replayed = self._batch_replays(
-                [
-                    (position, slot, outcome.execution.recording)
-                    for position, (slot, outcome) in enumerate(staged)
-                    if outcome.replay is None
-                ],
-                scratch,
-            )
-        except HOST_FAILURES:
-            # A host died during the replays: learning material only, so
-            # retry it later against a fresh host.
-            self._undecided(candidate, scratch, probe=False)
-            return
-        for position, (slot, outcome) in enumerate(staged):
             try:
-                replay_result = replayed.get(position, outcome.replay)
-                if self._learn_execution(slot, outcome, scratch, replay_result):
+                if self._learn_execution(slot, outcome, scratch):
                     scratch.learned.append(slot.name)
             except LearningError:
                 continue  # contradicts what an earlier candidate merged: skip
             except HOST_FAILURES:
                 self._undecided(candidate, scratch, probe=False)
+                return
 
     # ----------------------------------------------------------------- reports
 

@@ -42,10 +42,10 @@ class SynthesisSettings:
         optimisation proposed in the paper's conclusion).
     retry_policy:
         The :class:`repro.testing.robust.RetryPolicy` supervising every
-        test execution: retry budget, backoff, per-step/per-test
-        deadlines, recording validation.  ``None`` (the default) defers
-        to ``REPRO_TEST_RETRIES`` and falls back to the default policy
-        — whose fault-free behavior is identical to the raw executor.
+        test execution: retry budget and per-step/per-test deadlines.
+        ``None`` (the default) defers to ``REPRO_TEST_RETRIES`` and
+        falls back to the default policy — whose fault-free behavior is
+        identical to the raw executor.
     fault_profile:
         A :class:`repro.testing.faults.FaultProfile` to inject into the
         component under test (chaos testing of the loop itself).

@@ -3,17 +3,16 @@
 :class:`RobustExecutor` wraps :func:`repro.testing.executor.execute_test`
 and :func:`repro.testing.replay.replay` with a :class:`RetryPolicy`:
 
-* bounded retries of the live phase with exponential backoff and
-  *deterministic* jitter (derived from the test name, never from RNG
-  state, so retry schedules are reproducible);
+* bounded retries of the live phase;
 * a per-step deadline (cooperative: each step's wall time is checked
   after it returns, which deterministically catches injected hangs) and
   a per-test deadline enforced on a deadline thread
   (:meth:`WorkerPool.call`);
-* recording validation before the result is trusted: when faults are
-  possible, every completed live execution is replayed and a
-  :class:`~repro.errors.ReplayError` divergence triggers re-record /
-  re-replay recovery for a bounded number of rounds.
+* recording validation before the result is trusted: exactly when the
+  component can inject faults, every completed live execution is
+  replayed and a :class:`~repro.errors.ReplayError` divergence
+  triggers re-record / re-replay recovery for a bounded number of
+  rounds.
 
 The outcome is a :class:`RobustExecution`.  When every round is
 exhausted it is *inconclusive* — mapped by the synthesis loop to
@@ -33,7 +32,6 @@ from __future__ import annotations
 import atexit
 import os
 import time
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import nullcontext
@@ -83,54 +81,28 @@ class RetryPolicy:
     record_rounds:
         Full re-record cycles after a validation divergence before the
         execution is declared inconclusive.
-    backoff_base:
-        First retry delay in seconds; ``0`` (the default) disables
-        sleeping entirely — synthesis-loop retries against an in-process
-        component gain nothing from waiting.
-    backoff_factor:
-        Exponential growth of the delay per retry.
-    backoff_jitter:
-        Maximal extra delay fraction; the actual fraction is derived
-        from CRC-32 of ``(test name, attempt)`` — deterministic, no
-        shared RNG state.
     step_timeout:
         Per-step deadline in seconds (cooperative — checked after each
         step returns), or ``None`` for no step deadline.
     test_timeout:
         Per-test wall-clock deadline in seconds, enforced via
         :meth:`WorkerPool.call`, or ``None``.
-    validate:
-        Replay-validate every completed execution before trusting its
-        verdict.  ``None`` (default) auto-enables validation exactly
-        when the component can inject faults, keeping the fault-free
-        fast path identical to the raw executor.
     """
 
     max_attempts: int = 3
     replay_attempts: int = 2
     record_rounds: int = 2
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25
     step_timeout: float | None = None
     test_timeout: float | None = None
-    validate: bool | None = None
 
     def __post_init__(self) -> None:
         for name in ("max_attempts", "replay_attempts", "record_rounds"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise SynthesisError(f"{name} must be a positive integer, got {value!r}")
-        # Negated comparisons, so NaN (false under every comparison) fails.
-        if not (
-            self.backoff_base >= 0 and self.backoff_factor >= 1 and self.backoff_jitter >= 0
-        ):
-            raise SynthesisError(
-                "backoff_base/backoff_jitter must be >= 0 and backoff_factor >= 1, got "
-                f"{self.backoff_base!r}/{self.backoff_jitter!r}/{self.backoff_factor!r}"
-            )
         for name in ("step_timeout", "test_timeout"):
             value = getattr(self, name)
+            # Negated comparison, so NaN (false under every comparison) fails.
             if value is not None and not value > 0:
                 raise SynthesisError(f"{name} must be positive or None, got {value!r}")
 
@@ -151,21 +123,6 @@ class RetryPolicy:
                 f"{TEST_RETRIES_ENV} must be a non-negative integer, got {raw!r}"
             )
         return cls(max_attempts=retries + 1)
-
-    def delay(self, key: str, attempt: int) -> float:
-        """The backoff before retry ``attempt`` (0-based), with jitter.
-
-        Deterministic: the jitter fraction is CRC-32 of
-        ``"{key}#{attempt}"`` scaled into ``[0, backoff_jitter]``, so a
-        retried test always waits the same amount — no RNG state leaks
-        between the fault schedule and the retry schedule.
-        """
-        if self.backoff_base <= 0:
-            return 0.0
-        raw = self.backoff_base * self.backoff_factor**attempt
-        token = f"{key}#{attempt}".encode("utf-8", "backslashreplace")
-        fraction = (zlib.crc32(token) % 10_000) / 10_000
-        return raw * (1.0 + self.backoff_jitter * fraction)
 
 
 @dataclass(frozen=True)
@@ -219,20 +176,19 @@ class _StepDeadline:
     :class:`~repro.errors.TestTimeoutError`.
     """
 
-    __slots__ = ("_component", "_limit", "_clock")
+    __slots__ = ("_component", "_limit")
 
-    def __init__(self, component, limit: float, clock):
+    def __init__(self, component, limit: float):
         self._component = component
         self._limit = limit
-        self._clock = clock
 
     def __getattr__(self, name: str):
         return getattr(self._component, name)
 
     def step(self, inputs=()):
-        begin = self._clock()
+        begin = time.perf_counter()
         outcome = self._component.step(inputs)
-        elapsed = self._clock() - begin
+        elapsed = time.perf_counter() - begin
         if elapsed > self._limit:
             raise TestTimeoutError(
                 f"step on {self._component.name!r} took {elapsed:.3f}s, "
@@ -365,53 +321,36 @@ class RobustExecutor:
     """Supervises live executions and validation replays under a policy.
 
     One executor serves one synthesis loop; it is stateless between
-    calls apart from the injected clock/sleep hooks (overridable for
-    tests).  All randomness lives in the component's fault schedule and
-    the policy's deterministic jitter, so a supervised run is exactly
-    reproducible from the fault seed.
+    calls.  All randomness lives in the component's fault schedule, so
+    a supervised run is exactly reproducible from the fault seed.
     """
 
-    def __init__(
-        self,
-        policy: RetryPolicy | None = None,
-        *,
-        tracer=None,
-        pool: WorkerPool | None = None,
-        clock=time.perf_counter,
-        sleep=time.sleep,
-    ):
+    #: The deadline thread of per-test wall-clock limits.
+    pool = _POOL
+
+    def __init__(self, policy: RetryPolicy | None = None, *, tracer=None):
         from ..obs.tracer import resolve_tracer
 
         self.policy = policy if policy is not None else RetryPolicy()
         self.tracer = resolve_tracer(tracer)
-        self._pool = pool
-        self._clock = clock
-        self._sleep = sleep
 
     # ---------------------------------------------------------------- helpers
-
-    @property
-    def pool(self) -> WorkerPool:
-        return self._pool if self._pool is not None else _POOL
 
     @staticmethod
     def _fault_scope(component):
         armed = getattr(component, "inject_faults", None)
         return armed() if armed is not None else nullcontext()
 
-    def _should_validate(self, component) -> bool:
-        if self.policy.validate is not None:
-            return self.policy.validate
-        return bool(getattr(component, "fault_injection_active", False))
-
     # -------------------------------------------------------------- execution
 
     def execute(self, component, testcase: TestCase, *, port: str = "port") -> RobustExecution:
         """Execute a test with retries, deadlines, and validation."""
         policy = self.policy
-        validate = self._should_validate(component)
+        # Validation replays run exactly when faults are possible, so the
+        # fault-free fast path stays identical to the raw executor.
+        validate = bool(getattr(component, "fault_injection_active", False))
         deadline = (
-            self._clock() + policy.test_timeout if policy.test_timeout is not None else None
+            time.perf_counter() + policy.test_timeout if policy.test_timeout is not None else None
         )
         attempts = retries = timeouts = faults = replays = re_records = 0
         reason: str | None = None
@@ -422,9 +361,6 @@ class RobustExecutor:
                 if attempt:
                     retries += 1
                     self.tracer.event("test.retry", test=testcase.name, attempt=attempt)
-                    pause = policy.delay(testcase.name, attempt - 1)
-                    if pause > 0:
-                        self._sleep(pause)
                 attempts += 1
                 span = (
                     self.tracer.span("test.retry", test=testcase.name, attempt=attempt)
@@ -535,14 +471,14 @@ class RobustExecutor:
             # proxy's reach: the per-step limit travels in the frame.
             run = partial(in_host, testcase, port=port, step_timeout=policy.step_timeout)
         elif policy.step_timeout is not None:
-            target = _StepDeadline(component, policy.step_timeout, self._clock)
+            target = _StepDeadline(component, policy.step_timeout)
             run = partial(execute_test, target, testcase, port=port)
         else:
             run = partial(execute_test, component, testcase, port=port)
         with self._fault_scope(component):
             if deadline is None:
                 return run()
-            remaining = deadline - self._clock()
+            remaining = deadline - time.perf_counter()
             if remaining <= 0:
                 raise TestTimeoutError(
                     f"test {testcase.name!r} reached its "
@@ -575,18 +511,7 @@ class RobustExecutor:
         raise last
 
     def replay_once(self, component, recording, *, port: str = "port") -> ReplayResult:
-        """One armed, traced replay (shared by validation and recovery)."""
+        """One armed, traced validation replay."""
         with self.tracer.span("monitor.replay", steps=len(recording.steps)):
             with self._fault_scope(component):
                 return replay(component, recording, port=port)
-
-    def replay_validated(self, component, recording, *, port: str = "port") -> ReplayResult:
-        """Replay with the policy's retry budget (for recovery paths)."""
-        last: ReplayError | None = None
-        for _ in range(self.policy.replay_attempts):
-            try:
-                return self.replay_once(component, recording, port=port)
-            except ReplayError as error:
-                last = error
-        assert last is not None
-        raise last

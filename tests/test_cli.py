@@ -81,3 +81,26 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--test-retries", "-1"],
+            ["--max-iterations", "0"],
+            ["--counterexamples", "0"],
+            ["--test-timeout", "0"],
+            ["--test-timeout", "nan"],
+            ["--remote-step-deadline", "0"],
+            ["--remote-step-deadline", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_loop_flag_is_a_usage_error(self, capsys, tmp_path, flag):
+        trace = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["railcab", "--shuttle", "correct", "--trace", str(trace), *flag])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro railcab")
+        assert "Traceback" not in err
+        assert not trace.exists()  # rejected before any sink opens

@@ -186,7 +186,6 @@ class ScratchVerifier:
     context: Automaton | None
     universes: list
     semantics: str = "strict"
-    deterministic_implementation: bool = True
     tracer: object = None
 
     def step(self, models, *, closure_names=None, name=None) -> VerificationStep:
@@ -195,7 +194,7 @@ class ScratchVerifier:
             chaotic_closure(
                 model,
                 universe,
-                deterministic_implementation=self.deterministic_implementation,
+                deterministic_implementation=True,
                 name=closure_name,
             )
             for model, universe, closure_name in zip(models, self.universes, names)
@@ -239,7 +238,7 @@ def assert_same_records(engine_result, reference_result) -> None:
 @given(model_evolutions())
 def test_closure_cache_equals_from_scratch_closure(models):
     """Delta-maintained ``chaos(M)`` is the Definition 9 closure, always."""
-    cache = ClosureCache(UNIVERSE, deterministic_implementation=True)
+    cache = ClosureCache(UNIVERSE)
     for model in models:
         update = cache.update(model)
         assert update.closure == chaotic_closure(
@@ -253,7 +252,7 @@ def test_closure_cache_equals_from_scratch_closure(models):
 def test_incremental_product_equals_compose(models):
     """Dirty-region product re-exploration equals a full binary compose."""
     client = _client()
-    cache = ClosureCache(UNIVERSE, deterministic_implementation=True)
+    cache = ClosureCache(UNIVERSE)
     product = IncrementalProduct(semantics="strict")
     for model in models:
         update = cache.update(model)
@@ -267,8 +266,8 @@ def test_incremental_product_equals_compose(models):
 @given(model_evolutions(), model_evolutions(universe=TICK_UNIVERSE, inp="tick", out="tock"))
 def test_incremental_nary_product_equals_compose_all(models_a, models_b):
     """The n-ary (multi-legacy) product path equals ``compose_all``."""
-    cache_a = ClosureCache(UNIVERSE, deterministic_implementation=True)
-    cache_b = ClosureCache(TICK_UNIVERSE, deterministic_implementation=True)
+    cache_a = ClosureCache(UNIVERSE)
+    cache_b = ClosureCache(TICK_UNIVERSE)
     product = IncrementalProduct(semantics="open")
     # Interleave the two evolutions the way the parallel loop does.
     length = max(len(models_a), len(models_b))
@@ -288,7 +287,7 @@ def test_incremental_nary_product_equals_compose_all(models_a, models_b):
 def test_warm_update_is_all_hits(models):
     """Re-running an unchanged model re-explores without a single miss."""
     client = _client()
-    cache = ClosureCache(UNIVERSE, deterministic_implementation=True)
+    cache = ClosureCache(UNIVERSE)
     product = IncrementalProduct(semantics="strict")
     update = None
     for model in models:
@@ -313,7 +312,7 @@ model = IncompleteAutomaton(
     states=["q0"], inputs={"ping"}, outputs={"pong"}, transitions=(),
     refusals=(), initial=["q0"], labels={"q0": {"p"}}, name="M_l^0",
 )
-cache = ClosureCache(UNIVERSE, deterministic_implementation=True)
+cache = ClosureCache(UNIVERSE)
 product = IncrementalProduct(semantics="strict")
 update = cache.update(model)
 step = product.update([client, update.closure], [frozenset(), update.dirty_states])
@@ -353,7 +352,7 @@ def test_canonical_order_is_hash_seed_independent():
 def test_warm_checker_equals_cold_checker(models):
     """Warm-started verdicts and sat-sets equal cold ones, step by step."""
     client = _client()
-    cache = ClosureCache(UNIVERSE, deterministic_implementation=True)
+    cache = ClosureCache(UNIVERSE)
     product = IncrementalProduct(semantics="strict")
     previous: ModelChecker | None = None
     for model in models:

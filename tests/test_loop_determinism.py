@@ -1,9 +1,10 @@
 """Golden iteration records of the synthesis loop.
 
-Three runs are pinned record by record against
+Four runs are pinned record by record against
 ``tests/fixtures/golden_records.json``: the RailCab convoy, the
-two-legacy convoy, and one factory scenario whose product crosses 2048
-joint states.  Every field of every :class:`IterationRecord` /
+two-legacy convoy, one factory scenario whose product crosses 2048
+joint states, and the convoy testing two counterexamples per
+iteration.  Every field of every :class:`IterationRecord` /
 :class:`MultiIterationRecord` — counters, counterexamples and observed
 runs included — must match the fixture exactly, so any change to the
 product, checker, counterexample, test or learning steps that moves
@@ -29,7 +30,7 @@ import pytest
 from repro import railcab
 from repro.automata.interaction import Interaction
 from repro.integration import integrate
-from repro.synthesis import IntegrationSynthesizer
+from repro.synthesis import IntegrationSynthesizer, SynthesisSettings
 from repro.synthesis.multi import MultiLegacySynthesizer
 from repro.testing.faults import FAULT_SEED_ENV
 from repro.testing.scenario import generate_scenario
@@ -58,12 +59,13 @@ def encode(value):
     return repr(value)
 
 
-def _convoy():
+def _convoy(counterexamples: int = 1):
     return IntegrationSynthesizer(
         railcab.front_role_automaton(),
         railcab.correct_rear_shuttle(convoy_ticks=2),
         railcab.PATTERN_CONSTRAINT,
         labeler=railcab.rear_state_labeler,
+        settings=SynthesisSettings(counterexamples_per_iteration=counterexamples),
         port="rearRole",
     ).run()
 
@@ -91,6 +93,9 @@ RUNS = {
     "convoy": _convoy,
     "two-legacy-convoy": _two_legacy_convoy,
     "large-scenario": _large_scenario,
+    # Several counterexamples per failed check: each one is tested,
+    # replayed and merged in work-list order.
+    "convoy-k2": lambda: _convoy(counterexamples=2),
 }
 
 

@@ -237,25 +237,6 @@ class TestConfigurationVariants:
         with pytest.raises(SynthesisError, match="not composable"):
             IntegrationSynthesizer(bad_context, good_server(), parse("AG true"))
 
-    def test_custom_counterexample_strategy_invoked(self):
-        calls = []
-
-        def strategy(composed, formula, checker):
-            from repro.logic import counterexample
-
-            calls.append(formula)
-            return counterexample(composed, formula, checker=checker)
-
-        result = IntegrationSynthesizer(
-            client(),
-            good_server(),
-            RESPONSE,
-            labeler=lambda s: {f"srv.{s}"},
-            counterexample_strategy=strategy,
-        ).run()
-        assert result.verdict is Verdict.PROVEN
-        assert calls
-
 
 class TestReporting:
     def test_summary_mentions_verdict(self):
