@@ -36,7 +36,7 @@ def test_two_correct_legacy_shuttles_proven(benchmark):
     assert set(result.final_models) == {"frontShuttle", "rearShuttle"}
     # …and mutual restriction keeps the learned parts small.
     rear_bound = railcab.correct_rear_shuttle(convoy_ticks=1).state_bound
-    assert result.learned_states("rearShuttle") <= rear_bound
+    assert len(result.final_models["rearShuttle"].states) <= rear_bound
 
 
 def test_interplay_fault_found(benchmark):
@@ -58,7 +58,7 @@ def test_partial_learning_with_overbuilt_partner(benchmark):
     result = benchmark(run)
     assert result.verdict is Verdict.PROVEN
     bound = railcab.overbuilt_rear_shuttle(extra_states=15).state_bound
-    assert result.learned_states("rearShuttle") < bound
+    assert len(result.final_models["rearShuttle"].states) < bound
 
 
 def test_cross_component_deadlock_confirmed(benchmark):

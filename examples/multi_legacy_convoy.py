@@ -12,8 +12,9 @@ leaves this as future work; here it runs:
 2. a forgetful front shuttle (sends ``startConvoy`` but stays in
    no-convoy mode) is exposed as a *real* violation of the pattern
    constraint that only exists in the interplay of the two components;
-3. a halting front shuttle produces a *real deadlock*, confirmed by the
-   generalized probing step.
+3. a halting front shuttle produces a *real deadlock*, confirmed by
+   probing each shuttle with the joint steps the other's closure offers
+   it — the single-placement probing step, generalised to n slots.
 
 Run with::
 

@@ -78,9 +78,7 @@ from .integration import IntegrationReport, integrate
 from .synthesis import (
     IntegrationSynthesizer,
     IterationRecord,
-    MultiIterationRecord,
     MultiLegacySynthesizer,
-    MultiSynthesisResult,
     SynthesisResult,
     SynthesisSettings,
     Verdict,
@@ -128,8 +126,6 @@ __all__ = [
     "IterationRecord",
     "Verdict",
     "MultiLegacySynthesizer",
-    "MultiSynthesisResult",
-    "MultiIterationRecord",
     "result_to_dict",
     "ReproError",
     "ModelError",

@@ -30,6 +30,17 @@ from .synthesis import (
 )
 
 
+#: ``(flag, attribute, valid, what it must be)`` per numeric loop flag
+#: (comparisons with NaN are false, so NaN is never valid).
+LOOP_FLAG_RANGES = (
+    ("--max-iterations", "max_iterations", lambda n: n > 0, "a positive integer"),
+    ("--counterexamples", "counterexamples", lambda n: n > 0, "a positive integer"),
+    ("--test-retries", "test_retries", lambda n: n >= 0, "a non-negative integer"),
+    ("--test-timeout", "test_timeout", lambda s: s > 0, "a positive number of seconds"),
+    ("--remote-step-deadline", "remote_step_deadline", lambda s: s > 0, "a positive number of seconds"),
+)
+
+
 def _settings(args: argparse.Namespace) -> SynthesisSettings:
     """The one place CLI flags (and their env fallbacks) become settings.
 
@@ -37,8 +48,13 @@ def _settings(args: argparse.Namespace) -> SynthesisSettings:
     (``REPRO_TRACE``, ``REPRO_BLACKBOX``, ``REPRO_TEST_RETRIES``,
     ``REPRO_FAULT_SEED``, ``REPRO_REMOTE``) inside
     :class:`SynthesisSettings` resolution.  An out-of-range flag raises
-    :class:`~repro.errors.SynthesisError` before any trace file opens.
+    :class:`~repro.errors.SynthesisError`, naming the flag, before any
+    trace file opens.
     """
+    for flag, attribute, valid, kind in LOOP_FLAG_RANGES:
+        value = getattr(args, attribute, None)
+        if value is not None and not valid(value):
+            raise SynthesisError(f"{flag} must be {kind}, got {value:g}")
     retry_policy = None
     test_retries = getattr(args, "test_retries", None)
     test_timeout = getattr(args, "test_timeout", None)

@@ -36,8 +36,9 @@ from .logic.formulas import Formula, conjunction
 from .muml.architecture import Architecture
 from .muml.verification import ArchitectureVerificationReport, verify_architecture
 from .synthesis.initial import StateLabeler
-from .synthesis.iterate import IntegrationSynthesizer, SynthesisResult, Verdict
-from .synthesis.multi import MultiLegacySynthesizer, MultiSynthesisResult
+from .synthesis.driver import SynthesisResult, Verdict
+from .synthesis.iterate import IntegrationSynthesizer
+from .synthesis.multi import MultiLegacySynthesizer
 from .synthesis.settings import SynthesisSettings
 
 __all__ = ["IntegrationReport", "SynthesisSettings", "integrate"]
@@ -49,7 +50,7 @@ class IntegrationReport:
 
     architecture: ArchitectureVerificationReport
     placements: dict[str, SynthesisResult]
-    joint: MultiSynthesisResult | None = None
+    joint: SynthesisResult | None = None
     skipped_placements: tuple[str, ...] = ()
 
     @property
@@ -127,7 +128,7 @@ def integrate(
     )
 
     placements: dict[str, SynthesisResult] = {}
-    joint: MultiSynthesisResult | None = None
+    joint: SynthesisResult | None = None
     skipped: list[str] = []
 
     if _instances_with_multiple_legacy(architecture):

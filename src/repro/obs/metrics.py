@@ -216,8 +216,7 @@ class MetricsRegistry:
 
 # -------------------------------------------------- iteration-record plumbing
 
-#: Counters shared by ``IterationRecord`` and ``MultiIterationRecord``,
-#: in the canonical export order.
+#: The counters of an ``IterationRecord``, in the canonical export order.
 _RECORD_COUNTERS = (
     "closure_groups_reused",
     "closure_groups_rebuilt",
@@ -236,10 +235,8 @@ _RECORD_COUNTERS = (
 def record_counters(record) -> dict[str, int]:
     """The ``product_*`` / ``checker_*`` counter namespaces of one record.
 
-    Works on both ``IterationRecord`` and ``MultiIterationRecord`` (the
-    two share every counter field).  The key order matches the
-    ``counters`` object of ``result_to_dict`` exactly — this function is
-    its single source.
+    The key order matches the ``counters`` object of ``result_to_dict``
+    exactly — this function is its single source.
     """
     return {name: getattr(record, name) for name in _RECORD_COUNTERS}
 

@@ -6,9 +6,10 @@ paper's notation.
 """
 
 from .initial import StateLabeler, initial_abstraction, initial_model
-from .iterate import IntegrationSynthesizer, IterationRecord, SynthesisResult, Verdict
+from .driver import IterationRecord, SynthesisResult, Verdict
+from .iterate import IntegrationSynthesizer
 from .learning import RefusalMode, learn, learn_blocked, learn_regular, refuse
-from .multi import MultiIterationRecord, MultiLegacySynthesizer, MultiSynthesisResult
+from .multi import MultiLegacySynthesizer
 from .settings import SynthesisSettings
 from .report import (
     coverage_summary,
@@ -37,8 +38,6 @@ __all__ = [
     "IterationRecord",
     "Verdict",
     "MultiLegacySynthesizer",
-    "MultiSynthesisResult",
-    "MultiIterationRecord",
     "render_counterexample_listing",
     "render_iteration_table",
     "render_state",

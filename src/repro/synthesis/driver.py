@@ -1,48 +1,72 @@
-"""The verify → test → learn loop shared by both synthesizers.
+"""The verify → test → learn loop for one to n legacy slots (§4, §7).
 
-:class:`~repro.synthesis.iterate.IntegrationSynthesizer` (one legacy
-placement, §4) and :class:`~repro.synthesis.multi.MultiLegacySynthesizer`
-(several placements learned in parallel, §7) run the same loop over a
-list of *slots*, one per legacy component: verify the composition of
-the context with one chaotic closure per slot, derive counterexamples,
-test their projections against the real components under supervision,
-and learn what was observed.  :class:`_LoopDriver` owns that loop —
-settings, component preparation, the iteration budget, verification,
-supervision, quarantine, replay, learning, observability and the
-verdict — and each synthesizer supplies only its policy: how a
-counterexample is tested and confirmed, and which record and result
-types report it.
+:class:`Synthesizer` verifies the composition of the context with one
+chaotic closure per *slot* (one slot per legacy component), derives
+counterexamples, tests their projections against the real components
+under supervision, and learns what was observed — for one placement
+(§4) and, by "the parallel combination of multiple behavioral models"
+(§7), for several at once.  The soundness story is the same for any n:
+each closure is a safe abstraction of its component (Theorem 1) and
+refinement is a precongruence for ``∥`` (Lemma 2), so Lemma 5 lifts to
+the n-ary composition.
+
+Every counterexample of a failed check — the checker's batch plus the
+quarantined runs of earlier iterations — is projected onto every slot,
+executed, replayed and merged before the next one.  A deadlock
+counterexample whose projections all reproduce is confirmed by
+*probing*: for each slot in turn, an *offer* is a joint step of the
+context and the other slots' current closures at the post-prefix states
+testing just confirmed, and the slot is driven down its prefix and
+asked for the reaction each offer needs.  The deadlock is real only
+when no joint step survives and every probed reaction is decided.  With
+one slot the offers are exactly the context's transitions — §4.2's
+probing.
+
+:class:`~repro.synthesis.iterate.IntegrationSynthesizer` and
+:class:`~repro.synthesis.multi.MultiLegacySynthesizer` are constructor
+adapters over this class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from ..automata.automaton import Automaton
+from ..automata.automaton import Automaton, State
 from ..automata.chaos import is_chaos_state
 from ..automata.incomplete import IncompleteAutomaton
 from ..automata.incremental import IncrementalVerifier, StepStats
 from ..automata.interaction import Interaction, InteractionUniverse
 from ..automata.runs import Run
-from ..errors import FaultInjectionError, RemoteComponentError, SynthesisError, TestTimeoutError
+from ..errors import (
+    FaultInjectionError,
+    LearningError,
+    RemoteComponentError,
+    SynthesisError,
+    TestTimeoutError,
+)
 from ..legacy.component import LegacyComponent
+from ..legacy.interface import interface_of
 from ..logic.checker import ModelChecker
 from ..logic.compositional import assert_compositional, weaken_for_chaos
+
+# The loop's layer entry points, resolved through :attr:`Synthesizer._layers`.
+from ..logic.counterexample import counterexample, counterexamples  # noqa: F401
 from ..logic.formulas import AF, AU, DEADLOCK_FREE, Deadlock, Formula
 from ..obs.metrics import publish_record
 from ..obs.tracer import resolve_tracer
 from ..testing.executor import TestVerdict
 from ..testing.faults import FaultyComponent
-from ..testing.replay import ReplayResult
+from ..testing.replay import ReplayResult, replay  # noqa: F401
 from ..testing.robust import Quarantine, RobustExecution, RobustExecutor
-from ..testing.testcase import TestCase
-from .initial import StateLabeler
-from .learning import RefusalMode
+from ..testing.testcase import TestCase, TestStep, test_case_from_counterexample
+from .initial import StateLabeler, initial_model
+from .learning import RefusalMode, learn_blocked, learn_regular, refuse  # noqa: F401
 from .settings import SynthesisSettings
 
-__all__ = ["Verdict"]
+__all__ = ["Verdict", "IterationRecord", "SynthesisResult", "Synthesizer"]
 
 #: Failures of a real component host that escape the supervised test
 #: window (crash, hang kill, protocol violation) — e.g. during probing
@@ -50,6 +74,9 @@ __all__ = ["Verdict"]
 #: The loop degrades soundly: the counterexample is quarantined for a
 #: retry against a fresh host, never reported as a violation.
 HOST_FAILURES = (FaultInjectionError, TestTimeoutError, RemoteComponentError)
+
+#: Default iteration budget of :class:`Synthesizer`.
+DEFAULT_MAX_ITERATIONS = 500
 
 
 class Verdict(Enum):
@@ -60,6 +87,144 @@ class Verdict(Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
+@dataclass(frozen=True)
+class IterationRecord:
+    """Everything observed during one iteration of the loop.
+
+    With several slots, the model and closure sizes are sums over the
+    slots.
+    """
+
+    index: int
+    model_states: int
+    model_transitions: int
+    model_refusals: int
+    closure_states: int
+    closure_transitions: int
+    composed_states: int
+    property_holds: bool
+    deadlock_free: bool
+    violated: str | None  # "property" | "deadlock" | None
+    counterexample: Run | None
+    fast_conflict: bool
+    test_verdict: TestVerdict | None
+    tests_executed: int
+    replays_executed: int
+    observed_run: Run | None
+    knowledge_gained: int
+    # Incremental-engine counters.
+    closure_groups_reused: int = 0
+    closure_groups_rebuilt: int = 0
+    product_hits: int = 0
+    product_misses: int = 0
+    dirty_states: int = 0
+    affected_states: int = 0
+    #: Worklist operations the checker spent on this iteration's fixpoints
+    #: (warm starts should show less work).
+    checker_fixpoint_work: int = 0
+    # Robust-execution counters (all zero on a fault-free run with the
+    # default retry policy).  ``tests_executed`` counts live attempts,
+    # so ``tests_executed - test_retries`` is the number of supervised
+    # executions this iteration.
+    test_retries: int = 0
+    test_timeouts: int = 0
+    tests_inconclusive: int = 0
+    quarantine_size: int = 0
+
+
+@dataclass(frozen=True)
+class SynthesisResult:
+    """Outcome of a full synthesis run."""
+
+    verdict: Verdict
+    property: Formula
+    iterations: tuple[IterationRecord, ...]
+    #: The learned model of every slot, keyed by component name.
+    final_models: dict[str, IncompleteAutomaton]
+    #: The last verified closure of a one-slot run (``None`` otherwise).
+    final_closure: Automaton | None
+    violation_witness: Run | None
+    violation_kind: str | None
+    #: Counterexamples whose tests never completed fault-free within the
+    #: retry budget (see :mod:`repro.testing.robust`).  Empty on every
+    #: fault-free run.  They were *not* merged into the model and were
+    #: *not* confirmed as real errors (Lemma 6 requires a validated
+    #: fault-free run) — they are reported here instead of being
+    #: silently dropped.
+    quarantined: tuple[Run, ...] = ()
+
+    @property
+    def final_model(self) -> IncompleteAutomaton:
+        """The learned model of a one-slot run."""
+        if len(self.final_models) != 1:
+            raise SynthesisError(
+                f"the run learned {len(self.final_models)} models; use final_models"
+            )
+        (model,) = self.final_models.values()
+        return model
+
+    @property
+    def proven(self) -> bool:
+        return self.verdict is Verdict.PROVEN
+
+    def require_proven(self) -> "SynthesisResult":
+        """Raise unless the verdict is ``PROVEN`` (for CI-style use).
+
+        ``BudgetExceededError`` for an exhausted iteration budget,
+        ``SynthesisError`` carrying the violation kind otherwise;
+        returns ``self`` so it chains: ``synthesizer.run().require_proven()``.
+        """
+        from ..errors import BudgetExceededError
+
+        if self.verdict is Verdict.PROVEN:
+            return self
+        if self.verdict is Verdict.BUDGET_EXCEEDED:
+            raise BudgetExceededError(
+                f"synthesis exhausted its iteration budget after "
+                f"{self.iteration_count} iterations"
+            )
+        raise SynthesisError(
+            f"integration violates the requirements ({self.violation_kind}); "
+            f"witness: {self.violation_witness}"
+        )
+
+    @property
+    def iteration_count(self) -> int:
+        return len(self.iterations)
+
+    @property
+    def total_tests(self) -> int:
+        return sum(record.tests_executed for record in self.iterations)
+
+    @property
+    def total_replays(self) -> int:
+        return sum(record.replays_executed for record in self.iterations)
+
+    @property
+    def total_test_retries(self) -> int:
+        return sum(record.test_retries for record in self.iterations)
+
+    @property
+    def total_test_timeouts(self) -> int:
+        return sum(record.test_timeouts for record in self.iterations)
+
+    @property
+    def total_inconclusive(self) -> int:
+        return sum(record.tests_inconclusive for record in self.iterations)
+
+    @property
+    def learned_states(self) -> int:
+        return sum(len(model.states) for model in self.final_models.values())
+
+    @property
+    def learned_transitions(self) -> int:
+        return sum(len(model.transitions) for model in self.final_models.values())
+
+    @property
+    def learned_refusals(self) -> int:
+        return sum(len(model.refusals) for model in self.final_models.values())
+
+
 @dataclass
 class _Slot:
     """Bookkeeping for one legacy component."""
@@ -67,8 +232,11 @@ class _Slot:
     component: LegacyComponent
     universe: InteractionUniverse
     labeler: StateLabeler | None
+    initial: IncompleteAutomaton  # M_l^0: every run starts from it
     model: IncompleteAutomaton
     index: int  # position inside the composed tuple states
+    #: Outputs some other party consumes: the ones a joint step constrains.
+    linked: frozenset[str] = frozenset()
 
     @property
     def name(self) -> str:
@@ -88,7 +256,6 @@ class _IterationScratch:
     test_verdict: TestVerdict | None = None
     real_violation: bool = False
     violation: Run | None = None
-    learned: list[str] = field(default_factory=list)  # slot names, in learning order
 
 
 #: Counters of an iteration that tested nothing (proof, fast conflict).
@@ -108,40 +275,73 @@ class _Check:
     deadlock_free: bool
 
 
-class _LoopDriver:
-    """The loop skeleton; subclasses supply the policy hooks below.
+#: One party's moves at a configuration: ``(interaction, known)`` pairs.
+_Moves = list[tuple[Interaction, bool]]
+
+
+class Synthesizer:
+    """Drives the verify → test → learn loop for one to n legacy slots.
+
+    Parameters
+    ----------
+    context:
+        The modeled context ``M_a^c``, or ``None`` when the legacy
+        components only interact with each other.
+    components:
+        The executable legacy components, one slot each.  Their names
+        must be unique and all signal sets pairwise composable.
+    property:
+        The required compositional constraint ``φ``.  Deadlock freedom
+        ``¬δ`` is always checked in addition, per §4.1.
+    universes, labelers, knowledge:
+        Per-slot interaction alphabet (default: the message-passing
+        alphabet of the interface), state labeler, and starting model
+        (default: the trivial ``M_l^0``), aligned with ``components``.
+    refusal_mode:
+        ``"deterministic"`` (default) exploits strong determinism to
+        refuse wholesale; ``"conservative"`` follows Definition 12
+        literally.
+    fast_conflict:
+        Enable §4.2's shortcut: a property counterexample confined to
+        the synthesized (non-chaotic) part proves a real conflict
+        without testing.
+    settings:
+        The loop-tuning knobs
+        (:class:`~repro.synthesis.settings.SynthesisSettings`).
 
     The layer entry points the loop calls — ``counterexample``,
     ``counterexamples``, ``replay``, ``learn_regular``, ``learn_blocked``
-    and ``refuse`` — are looked up at call time on the synthesizer's own
-    module (:attr:`_layers`), so code that rebinds them there (the
-    outside-in layer timing of ``benchmarks/e2e``) sees every call.
+    and ``refuse`` — are looked up at call time on :attr:`_layers`, so
+    code that rebinds them there (the outside-in layer timing of
+    ``benchmarks/e2e``) sees every call.
     """
 
     #: The synthesizer name on the ``loop.run`` span and in events.
-    _synthesizer: str
+    _synthesizer = "Synthesizer"
     #: The module whose globals provide the layer entry points.
-    _layers: object
-    #: The composition semantics of the verified product.
-    _semantics: str
-    #: The composed product's name (``None``: the engine's default).
-    _product_name: str | None = None
-    #: Prefix per-slot fault/remote metrics with the slot name.
-    _scoped_metrics: bool = False
-
-    slots: list[_Slot]
+    _layers = sys.modules[__name__]
+    #: The iteration budget when the settings name none.
+    _default_iterations = DEFAULT_MAX_ITERATIONS
 
     def __init__(
         self,
         context: Automaton | None,
+        components: Sequence[LegacyComponent],
         property: Formula,
-        settings: SynthesisSettings | None,
         *,
-        default_iterations: int,
-        refusal_mode: RefusalMode,
-        fast_conflict: bool,
-        port: str,
+        universes: Sequence[InteractionUniverse | None] | None = None,
+        labelers: Sequence[StateLabeler | None] | None = None,
+        knowledge: Sequence[IncompleteAutomaton | None] | None = None,
+        refusal_mode: RefusalMode = "deterministic",
+        fast_conflict: bool = True,
+        settings: SynthesisSettings | None = None,
+        port: str = "port",
     ):
+        if not components:
+            raise SynthesisError(f"{self._synthesizer} needs at least one legacy component")
+        names = [component.name for component in components]
+        if len(set(names)) != len(names):
+            raise SynthesisError(f"legacy component names must be unique, got {names}")
         assert_compositional(property)
         settings = settings if settings is not None else SynthesisSettings()
         self.settings = settings
@@ -158,7 +358,7 @@ class _LoopDriver:
         self.weakened_property = weaken_for_chaos(property)
         self.refusal_mode: RefusalMode = refusal_mode
         self.fast_conflict = fast_conflict
-        self.max_iterations = settings.iterations_or(default_iterations)
+        self.max_iterations = settings.iterations_or(self._default_iterations)
         self.counterexamples_per_iteration = settings.counterexamples_per_iteration
         self.port = port
         # Violations of properties mentioning the deadlock atom or an
@@ -170,6 +370,49 @@ class _LoopDriver:
         self._refusal_sensitive = any(
             isinstance(node, (Deadlock, AF, AU)) for node in property.walk()
         )
+
+        offset = 1 if context is not None else 0
+        unset = [None] * len(components)
+        self.slots: list[_Slot] = []
+        for position, (component, universe, labeler, start) in enumerate(
+            zip(components, universes or unset, labelers or unset, knowledge or unset, strict=True)
+        ):
+            # One supervised subprocess (or fault wrapper) per slot.
+            component = self._prepare(component, position)
+            interface = interface_of(component)
+            if start is None:
+                start = initial_model(interface, labeler=labeler)
+            self.slots.append(
+                _Slot(
+                    component=component,
+                    universe=universe if universe is not None else interface.universe(),
+                    labeler=labeler,
+                    initial=start,
+                    model=start,
+                    index=offset + position,
+                )
+            )
+        self._validate_signals()
+        # One slot without a context: composed states are the slot's own.
+        self._bare = context is None and len(self.slots) == 1
+
+    def _validate_signals(self) -> None:
+        """Pairwise composability; records each slot's linked outputs."""
+        parts: list[tuple[str, frozenset[str], frozenset[str]]] = []
+        if self.context is not None:
+            parts.append(("context", self.context.inputs, self.context.outputs))
+        for slot in self.slots:
+            parts.append((slot.name, slot.component.inputs, slot.component.outputs))
+        for i, (name_a, in_a, out_a) in enumerate(parts):
+            for name_b, in_b, out_b in parts[i + 1 :]:
+                if in_a & in_b or out_a & out_b:
+                    raise SynthesisError(
+                        f"{name_a!r} and {name_b!r} are not composable: shared "
+                        f"inputs {sorted(in_a & in_b)} / outputs {sorted(out_a & out_b)}"
+                    )
+        consumed = frozenset().union(*(inputs for _, inputs, _ in parts))
+        for slot in self.slots:
+            slot.linked = slot.component.outputs & consumed
 
     def _prepare(self, component: LegacyComponent, position: int) -> LegacyComponent:
         """Rehost or fault-wrap the component of slot ``position``.
@@ -197,43 +440,9 @@ class _LoopDriver:
             return FaultyComponent.wrap(component, profile, tracer=self.tracer)
         return component
 
-    def _adopt(self, slots: list[_Slot]) -> None:
-        self.slots = slots
-        # One slot without a context: composed states are the slot's own.
-        self._bare = self.context is None and len(slots) == 1
-
-    # ------------------------------------------------------------ policy hooks
-
-    def _loop_info(self) -> dict:
-        """Extra ``loop.started`` payload."""
-        return {}
-
-    def _closure_names(self, index: int) -> Sequence[str]:
-        raise NotImplementedError
-
-    def _test_and_learn(
-        self, check: _Check, violated: str, batch: list[Run], scratch: _IterationScratch
-    ) -> tuple[Run, bool]:
-        """Test and learn from a failed check; ``(counterexample, real)``."""
-        raise NotImplementedError
-
-    def _record(
-        self,
-        check: _Check,
-        violated: str | None,
-        cex: Run | None,
-        scratch: _IterationScratch,
-        fast: bool,
-        gained: int,
-    ):
-        raise NotImplementedError
-
-    def _result(self, verdict: Verdict, records: list, check: _Check | None, witness, kind):
-        raise NotImplementedError
-
     # -------------------------------------------------------------------- loop
 
-    def run(self):
+    def run(self) -> SynthesisResult:
         """Execute the loop until proof, real violation, or budget."""
         tracer = self.tracer
         with tracer.span("loop.run", synthesizer=self._synthesizer):
@@ -242,8 +451,9 @@ class _LoopDriver:
             metrics = tracer.metrics
             self.robust.pool.publish_to(metrics)
             metrics.set_gauge("loop_iteration_count", result.iteration_count)
+            scoped = len(self.slots) > 1
             for slot in self.slots:
-                scope = f"{slot.name}_" if self._scoped_metrics else ""
+                scope = f"{slot.name}_" if scoped else ""
                 fault_counts = getattr(slot.component, "fault_counts", None)
                 if fault_counts:
                     metrics.absorb(fault_counts, prefix=f"fault_injected_{scope}")
@@ -252,20 +462,23 @@ class _LoopDriver:
                     metrics.absorb(remote_stats, prefix=f"remote_{scope}")
         return result
 
-    def _run(self):
+    def _run(self) -> SynthesisResult:
         tracer = self.tracer
-        records: list = []
+        for slot in self.slots:
+            slot.model = slot.initial  # every run starts from M_l^0
+        records: list[IterationRecord] = []
         tracer.bind(settings=self.settings, records=lambda: records)
+        components = {"components": [slot.name for slot in self.slots]} if len(self.slots) > 1 else {}
         tracer.event(
             "loop.started",
             synthesizer=self._synthesizer,
-            **self._loop_info(),
+            **components,
             max_iterations=self.max_iterations,
         )
         engine = IncrementalVerifier(
             context=self.context,
             universes=[slot.universe for slot in self.slots],
-            semantics=self._semantics,
+            semantics="open",
             tracer=tracer,
         )
         check = None
@@ -346,11 +559,7 @@ class _LoopDriver:
     def _verify(self, engine: IncrementalVerifier, index: int) -> _Check:
         """Model-check ``context ∥ chaos(M_1) ∥ … ⊨ φ_weak`` and ``¬δ``."""
         tracer = self.tracer
-        step = engine.step(
-            [slot.model for slot in self.slots],
-            closure_names=self._closure_names(index),
-            name=self._product_name,
-        )
+        step = engine.step([slot.model for slot in self.slots])
         composed, checker, stats = step.composed, step.checker, step.stats
         with tracer.span("checker.check", kind="property"):
             property_holds = checker.check(self.weakened_property).holds
@@ -376,7 +585,7 @@ class _LoopDriver:
 
     def _note(
         self,
-        records: list,
+        records: list[IterationRecord],
         check: _Check,
         violated: str | None = None,
         cex: Run | None = None,
@@ -386,7 +595,38 @@ class _LoopDriver:
         gained: int = 0,
     ) -> None:
         """Record an iteration; publish its metrics and ``iteration.finished``."""
-        record = self._record(check, violated, cex, scratch, fast, gained)
+        models = [slot.model for slot in self.slots]
+        stats = check.stats
+        record = IterationRecord(
+            index=check.index,
+            model_states=sum(len(model.states) for model in models),
+            model_transitions=sum(len(model.transitions) for model in models),
+            model_refusals=sum(len(model.refusals) for model in models),
+            closure_states=sum(len(closure.states) for closure in check.closures),
+            closure_transitions=sum(closure.transition_count for closure in check.closures),
+            composed_states=len(check.composed.states),
+            property_holds=check.property_holds,
+            deadlock_free=check.deadlock_free,
+            violated=violated,
+            counterexample=cex,
+            fast_conflict=fast,
+            test_verdict=scratch.test_verdict,
+            tests_executed=scratch.tests,
+            replays_executed=scratch.replays,
+            observed_run=scratch.observed,
+            knowledge_gained=gained,
+            closure_groups_reused=stats.closure_groups_reused,
+            closure_groups_rebuilt=stats.closure_groups_rebuilt,
+            product_hits=stats.product_hits,
+            product_misses=stats.product_misses,
+            dirty_states=stats.dirty_states,
+            affected_states=stats.affected_states,
+            checker_fixpoint_work=check.checker.stats.fixpoint_work,
+            test_retries=scratch.retries,
+            test_timeouts=scratch.timeouts,
+            tests_inconclusive=scratch.inconclusive,
+            quarantine_size=len(self.quarantine),
+        )
         records.append(record)
         tracer = self.tracer
         if tracer.enabled:
@@ -407,28 +647,27 @@ class _LoopDriver:
                 quarantine_size=record.quarantine_size,
             )
 
-    def _counters(self, check: _Check, scratch: _IterationScratch) -> dict:
-        """The counter fields both record types share."""
-        stats = check.stats
-        return dict(
-            closure_groups_reused=stats.closure_groups_reused,
-            closure_groups_rebuilt=stats.closure_groups_rebuilt,
-            product_hits=stats.product_hits,
-            product_misses=stats.product_misses,
-            dirty_states=stats.dirty_states,
-            affected_states=stats.affected_states,
-            checker_fixpoint_work=check.checker.stats.fixpoint_work,
-            test_retries=scratch.retries,
-            test_timeouts=scratch.timeouts,
-            tests_inconclusive=scratch.inconclusive,
-            quarantine_size=len(self.quarantine),
-        )
-
     def _finish(
-        self, verdict: Verdict, records: list, check: _Check | None, witness=None, kind=None
-    ):
+        self,
+        verdict: Verdict,
+        records: list[IterationRecord],
+        check: _Check | None,
+        witness: Run | None = None,
+        kind: str | None = None,
+    ) -> SynthesisResult:
         """Build the result; emit the verdict (and dump degraded ones)."""
-        result = self._result(verdict, records, check, witness, kind)
+        result = SynthesisResult(
+            verdict=verdict,
+            property=self.property,
+            iterations=tuple(records),
+            final_models={slot.name: slot.model for slot in self.slots},
+            final_closure=(
+                check.closures[0] if check is not None and len(self.slots) == 1 else None
+            ),
+            violation_witness=witness,
+            violation_kind=kind,
+            quarantined=self.quarantine.unresolved(),
+        )
         tracer = self.tracer
         tracer.event(
             "verdict.reached",
@@ -462,7 +701,7 @@ class _LoopDriver:
             return [run]
 
     def _needs_probing(self, composed: Automaton, violated: str, run: Run) -> bool:
-        """Is ``run`` confirmed by probing what the context offers at its end?
+        """Is ``run`` confirmed by probing what the rest of the system offers?
 
         Deadlock counterexamples always are.  A property counterexample
         that *ends in a composed deadlock state* may owe its violation
@@ -484,10 +723,9 @@ class _LoopDriver:
             is_chaos_state(state[slot.index]) for state in run.states for slot in self.slots
         )
 
-    def _quarantine_push(self, run: Run, *, probe: bool) -> bool:
+    def _quarantine_push(self, run: Run, *, probe: bool) -> None:
         """Quarantine a counterexample; an admission is a recorded anomaly."""
-        admitted = self.quarantine.push(run, probe=probe)
-        if admitted:
+        if self.quarantine.push(run, probe=probe):
             self.tracer.event(
                 "quarantine.admitted", quarantine_size=len(self.quarantine), probe=probe
             )
@@ -496,26 +734,25 @@ class _LoopDriver:
                 counterexample=repr(run),
                 quarantine_size=len(self.quarantine),
             )
-        return admitted
 
     def _undecided(self, run: Run, scratch: _IterationScratch, *, probe: bool) -> None:
         """Count an inconclusive decision and quarantine its counterexample."""
         scratch.inconclusive += 1
         self._quarantine_push(run, probe=probe)
 
-    # ---------------------------------------------------------------- testing
+    def _confirm(self, run: Run, trusted: bool, scratch: _IterationScratch, *, probe: bool) -> None:
+        """Report ``run`` as a real violation — if its tests may witness one.
 
-    def _execute(self, slot: _Slot, case: TestCase, scratch: _IterationScratch) -> RobustExecution:
-        """One supervised execution (retries, deadlines, validation)."""
-        with self.tracer.span("test.execute", steps=len(case.steps)):
-            outcome = self.robust.execute(slot.component, case, port=self.port)
-        scratch.tests += outcome.attempts
-        scratch.retries += outcome.retries
-        scratch.timeouts += outcome.timeouts
-        scratch.replays += outcome.replays_performed
-        if outcome.inconclusive:
-            scratch.inconclusive += 1
-        return outcome
+        Lemma 6: no real violation without a validated fault-free run;
+        an untrusted confirmation is retried later instead.
+        """
+        if not trusted:
+            self._quarantine_push(run, probe=probe)
+            return
+        scratch.real_violation = True
+        scratch.violation = run
+
+    # ---------------------------------------------------------------- testing
 
     def _execute_supervised(
         self,
@@ -526,15 +763,22 @@ class _LoopDriver:
         quarantine_run: Run | None,
         probe: bool,
     ) -> RobustExecution | None:
-        """Execute a test; quarantine its counterexample when inconclusive.
+        """One supervised execution (retries, deadlines, validation).
 
         Returns ``None`` when the execution could not be completed
-        fault-free — the caller must then treat the counterexample as
-        *undecided*: no learning, no verdict (Lemma 6).
+        fault-free, after quarantining ``quarantine_run`` — the caller
+        must then treat the counterexample as *undecided*: no learning,
+        no verdict (Lemma 6).
         """
-        outcome = self._execute(slot, case, scratch)
+        with self.tracer.span("test.execute", steps=len(case.steps)):
+            outcome = self.robust.execute(slot.component, case, port=self.port)
+        scratch.tests += outcome.attempts
+        scratch.retries += outcome.retries
+        scratch.timeouts += outcome.timeouts
+        scratch.replays += outcome.replays_performed
         scratch.test_verdict = outcome.verdict
         if outcome.inconclusive:
+            scratch.inconclusive += 1
             if quarantine_run is not None:
                 self._quarantine_push(quarantine_run, probe=probe)
             return None
@@ -548,23 +792,264 @@ class _LoopDriver:
         """
         return outcome.validated or not getattr(slot.component, "fault_injection_active", False)
 
-    def _absorb_learning_error(
-        self, slot: _Slot, run: Run, scratch: _IterationScratch, *, probe: bool
-    ) -> bool:
-        """Downgrade a learning contradiction to *inconclusive* under chaos.
+    def _testcase(self, cex: Run, slot: _Slot) -> TestCase:
+        """The projection of ``cex`` onto ``slot`` as a test case."""
+        if self._bare:
+            steps = tuple(TestStep(i.inputs, i.outputs) for i in cex.trace)
+            return TestCase(name="counterexample-test", steps=steps, source_run=cex)
+        return test_case_from_counterexample(
+            cex,
+            component_index=slot.index,
+            inputs=slot.component.inputs,
+            outputs=slot.component.outputs,
+        )
 
-        Validation is probabilistic: a corrupted recording can survive
-        its replays when the replay faults happen to reproduce the
-        corruption.  When that poisoned knowledge later contradicts an
-        observation, the contradiction is chaos-induced, not genuine
-        component non-determinism — quarantine the counterexample
-        instead of aborting the run.  Without fault injection the
-        contradiction is real and must keep raising.
+    # ------------------------------------------------------------ test and learn
+
+    def _test_and_learn(
+        self, check: _Check, violated: str, batch: list[Run], scratch: _IterationScratch
+    ) -> tuple[Run, bool]:
+        """Work through the batch and the quarantined counterexamples.
+
+        The work list is the checker's batch plus every quarantined
+        counterexample from earlier iterations (an inconclusive test is
+        retried here, not forgotten).  Entries are handled in order, on
+        every slot, each executed, replayed and merged before the next.
+        Each entry carries its probing route: quarantined runs keep the
+        route they were pushed with.  Returns ``(counterexample, real)``.
         """
-        if not getattr(slot.component, "fault_injection_active", False):
-            return False
-        self._undecided(run, scratch, probe=probe)
-        return True
+        composed = check.composed
+        work: list[tuple[Run, bool]] = [
+            (candidate, self._needs_probing(composed, violated, candidate)) for candidate in batch
+        ]
+        fresh = {repr(candidate) for candidate in batch}
+        work.extend(entry for entry in self.quarantine.drain() if repr(entry[0]) not in fresh)
+        for position, (candidate, probing) in enumerate(work):
+            saved = [slot.model for slot in self.slots]  # an entry that raises merges nothing
+            try:
+                if probing:
+                    self._test_deadlock(candidate, scratch)
+                else:
+                    self._test_property(candidate, scratch)
+            except (LearningError, *HOST_FAILURES) as error:
+                for slot, model in zip(self.slots, saved):
+                    slot.model = model
+                if isinstance(error, LearningError) and not any(
+                    getattr(slot.component, "fault_injection_active", False) for slot in self.slots
+                ):
+                    # Without fault injection a contradiction is genuine
+                    # non-determinism — unless a later counterexample
+                    # went stale mid-batch, which is sound to skip.
+                    if position == 0:
+                        raise
+                    continue
+                # A host failure, or chaos-poisoned knowledge (validation is
+                # probabilistic: a corrupted recording can survive its
+                # replays): undecided, retried in a later iteration.
+                self._undecided(candidate, scratch, probe=probing)
+            else:
+                if scratch.real_violation:
+                    return (scratch.violation if scratch.violation is not None else candidate), True
+        return batch[0], False
+
+    def _test_property(self, cex: Run, scratch: _IterationScratch) -> None:
+        """Test a property counterexample on every slot; learn or confirm it."""
+        chaos_free = self._chaos_free(cex)
+        trusted = []
+        for slot in self.slots:
+            outcome = self._execute_supervised(
+                slot, self._testcase(cex, slot), scratch, quarantine_run=cex, probe=False
+            )
+            if outcome is None:
+                return  # inconclusive: quarantined, nothing more merged
+            if chaos_free and outcome.execution.verdict is TestVerdict.CONFIRMED:
+                trusted.append(self._trusted(slot, outcome))
+            else:
+                # §4.2: a chaos-visiting run is never a run of the concrete
+                # system; the confirmed behavior is learning material.
+                self._learn_execution(slot, outcome, scratch)
+        if len(trusted) == len(self.slots):
+            # Only reachable with fast_conflict disabled: the violation
+            # lives entirely in the synthesized part — a real conflict.
+            self._confirm(cex, all(trusted), scratch, probe=False)
+
+    def _test_deadlock(self, cex: Run, scratch: _IterationScratch) -> None:
+        """Confirm or refute a composed deadlock by testing and probing."""
+        prefixes: list[tuple[TestCase, State]] = []
+        trusted, refuted = True, False
+        for slot in self.slots:
+            testcase = self._testcase(cex, slot)
+            outcome = self._execute_supervised(
+                slot, testcase, scratch, quarantine_run=cex, probe=True
+            )
+            if outcome is None:
+                return  # inconclusive: quarantined, nothing more merged
+            if outcome.execution.verdict is not TestVerdict.CONFIRMED:
+                # The component already left the predicted path: pure learning.
+                self._learn_execution(slot, outcome, scratch)
+                refuted = True
+                continue
+            # The prefix is real; where the slot stands after it is known
+            # by determinism.
+            observed = self._outcome_replay(slot, outcome, scratch).observed_run
+            scratch.observed = observed
+            with self.tracer.span("learn.merge", verdict="confirmed-prefix"):
+                slot.model = self._layers.learn_regular(
+                    slot.model, observed, labeler=slot.labeler
+                )
+            prefixes.append((testcase, observed.last_state))
+            trusted = trusted and self._trusted(slot, outcome)
+        if refuted:
+            return
+
+        # The composition deadlocks in the final configuration; whether
+        # the *system* does depends on what the real components serve.
+        states = [state for _, state in prefixes]
+        context_state = cex.last_state[0] if self.context is not None else None
+        decided = True
+        for position, (testcase, _) in enumerate(prefixes):
+            outcome = self._probe(position, states, context_state, testcase, cex, scratch)
+            if outcome is None:
+                return  # a probe was inconclusive: quarantined
+            served, slot_decided = outcome
+            if served:
+                return  # a joint step of the real system exists: re-verify
+            decided = decided and slot_decided
+        if decided:
+            self._confirm(cex, trusted, scratch, probe=True)
+
+    # ----------------------------------------------------------------- probing
+
+    def _reactions(self, slot: _Slot, state: State) -> _Moves:
+        """What ``slot``'s closure may do at ``state``, each marked known or not.
+
+        A known reaction decides its inputs (determinism); the unknown
+        ones are the universe interactions that are not refused.
+        """
+        model = slot.model
+        moves: _Moves = [(t.interaction, True) for t in model.automaton.transitions_from(state)]
+        decided = {interaction.inputs for interaction, _ in moves}
+        refused = model.refused(state)
+        if self.refusal_mode == "deterministic":
+            decided |= {interaction.inputs for interaction in refused}
+        moves.extend(
+            (interaction, False)
+            for interaction in slot.universe
+            if interaction.inputs not in decided and interaction not in refused
+        )
+        return moves
+
+    def _offers(
+        self, position: int, states: Sequence[State], context_state: State | None
+    ) -> dict[frozenset[str], dict[frozenset[str], bool]]:
+        """The reactions the rest of the system offers slot ``position``.
+
+        An offer is a joint step of the context and the other slots'
+        current closures (Definition 3, open matching).  It asks the slot
+        to consume the offered outputs it listens to and to produce the
+        inputs the others expect from it.  Returns ``inputs → {expected
+        outputs → every other part of some such step is known}``.
+        """
+        parties: list[tuple[frozenset[str], frozenset[str], _Moves]] = []
+        if self.context is not None:
+            moves = [(t.interaction, True) for t in self.context.transitions_from(context_state)]
+            parties.append((self.context.inputs, self.context.outputs, moves))
+        for other, (slot, state) in enumerate(zip(self.slots, states)):
+            if other != position:
+                moves = self._reactions(slot, state)
+                parties.append((slot.component.inputs, slot.component.outputs, moves))
+        steps: _Moves = [(Interaction(), True)]
+        seen_in = seen_out = frozenset()
+        for inputs, outputs, moves in parties:
+            steps = [
+                (step.union(move), known and move_known)
+                for step, known in steps
+                for move, move_known in moves
+                if step.inputs & outputs == move.outputs & seen_in
+                and move.inputs & seen_out == step.outputs & inputs
+            ]
+            seen_in, seen_out = seen_in | inputs, seen_out | outputs
+        slot = self.slots[position]
+        offers: dict[frozenset[str], dict[frozenset[str], bool]] = {}
+        for step, known in steps:
+            expected = offers.setdefault(step.outputs & slot.component.inputs, {})
+            outputs = step.inputs & slot.component.outputs
+            expected[outputs] = expected.get(outputs, False) or known
+        return offers
+
+    def _probe(
+        self,
+        position: int,
+        states: Sequence[State],
+        context_state: State | None,
+        prefix: TestCase,
+        cex: Run,
+        scratch: _IterationScratch,
+    ) -> tuple[bool, bool] | None:
+        """Ask slot ``position`` for the reactions the others offer it.
+
+        Offers are grouped by the inputs the slot would see and visited
+        in sorted order; a known reaction decides its group without a
+        test, and so does a recorded refusal.  Otherwise the slot is
+        driven down its confirmed prefix and offered the group's inputs
+        with the smallest expected output set; the probe merges like any
+        test, so a diverging reaction also refuses the alternatives.
+
+        Returns ``(served, decided)``: *served* when the slot's reaction
+        completes a joint step whose other parts are all known — a step
+        of the real system; *decided* when every group's reaction is
+        known or refused.  ``None`` when a probe was inconclusive (the
+        counterexample is then quarantined).
+        """
+        slot = self.slots[position]
+        state = states[position]
+        offers = self._offers(position, states, context_state)
+        known = [t.interaction for t in slot.model.automaton.transitions_from(state)]
+        refused = slot.model.refused(state)
+        decided = True
+        for probe_inputs in sorted(offers, key=sorted):
+            expected = offers[probe_inputs]
+            reaction = next((i for i in known if i.inputs == probe_inputs), None)
+            if reaction is not None:
+                if expected.get(reaction.outputs & slot.linked):
+                    return True, decided
+                continue  # the known reaction completes no step: nothing to probe
+            if self._refuses(refused, probe_inputs, expected):
+                continue
+            representative = sorted(expected, key=sorted)[0]
+            probe_case = TestCase(
+                name=f"{prefix.name}+probe",
+                steps=(*prefix.steps, TestStep(probe_inputs, representative)),
+                source_run=cex,
+            )
+            outcome = self._execute_supervised(
+                slot, probe_case, scratch, quarantine_run=None, probe=True
+            )
+            if outcome is None:
+                # This offer could not be decided fault-free: park the whole
+                # counterexample (undecided, not confirmed) and retry the
+                # probing in a later iteration.
+                self._quarantine_push(cex, probe=True)
+                return None
+            self._learn_execution(slot, outcome, scratch)
+            if outcome.execution.verdict is TestVerdict.BLOCKED:
+                decided = decided and self._refuses(
+                    slot.model.refused(state), probe_inputs, expected
+                )
+                continue
+            observed = scratch.observed
+            assert observed is not None and observed.steps
+            if expected.get(observed.steps[-1][0].outputs & slot.linked):
+                return True, decided
+        return False, decided
+
+    def _refuses(
+        self, refused: frozenset[Interaction], inputs: frozenset[str], expected
+    ) -> bool:
+        """Do the recorded refusals already rule out every expected reaction?"""
+        if self.refusal_mode == "deterministic":
+            return any(refusal.inputs == inputs for refusal in refused)
+        return all(Interaction(inputs, outputs) in refused for outputs in expected)
 
     # ------------------------------------------------------- replay and learning
 

@@ -102,5 +102,8 @@ class TestParser:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: repro railcab")
+        # The message names the flag and the value as typed.
+        assert f"error: {flag[0]} must be" in err
+        assert err.rstrip().endswith(f"got {flag[1]}")
         assert "Traceback" not in err
         assert not trace.exists()  # rejected before any sink opens

@@ -233,8 +233,6 @@ class TestStableFacade:
         "IterationRecord",
         "Verdict",
         "MultiLegacySynthesizer",
-        "MultiSynthesisResult",
-        "MultiIterationRecord",
         "result_to_dict",
         "ReproError",
         "SynthesisError",

@@ -1,18 +1,22 @@
 """Golden iteration records of the synthesis loop.
 
-Four runs are pinned record by record against
+Five runs are pinned record by record against
 ``tests/fixtures/golden_records.json``: the RailCab convoy, the
-two-legacy convoy, one factory scenario whose product crosses 2048
-joint states, and the convoy testing two counterexamples per
-iteration.  Every field of every :class:`IterationRecord` /
-:class:`MultiIterationRecord` — counters, counterexamples and observed
-runs included — must match the fixture exactly, so any change to the
-product, checker, counterexample, test or learning steps that moves
-a verdict or a counter shows up here, iteration by iteration.
+two-legacy convoy (testing one and two counterexamples per iteration),
+one factory scenario whose product crosses 2048 joint states, and the
+convoy testing two counterexamples per iteration.  Every field of every
+:class:`IterationRecord` — counters, counterexamples and observed runs
+included — must match the fixture exactly, so any change to the
+product, checker, counterexample, test or learning steps that moves a
+verdict or a counter shows up here, iteration by iteration.
+
+Beyond the goldens, every single placement of factory seeds 0–39 is
+pinned by the sha256 of its encoded records
+(``tests/fixtures/placement_digests.json``).
 
 Values are encoded canonically (sets sorted, enums by value) so the
-fixture is independent of ``PYTHONHASHSEED``.  Regenerate it only when a
-record change is intended::
+fixtures are independent of ``PYTHONHASHSEED``.  Regenerate them only
+when a record change is intended::
 
     PYTHONPATH=src python tests/test_loop_determinism.py
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -36,6 +41,10 @@ from repro.testing.faults import FAULT_SEED_ENV
 from repro.testing.scenario import generate_scenario
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_records.json"
+DIGESTS = Path(__file__).parent / "fixtures" / "placement_digests.json"
+
+#: Factory seeds whose single placements are pinned by record digest.
+DIGEST_SEEDS = range(40)
 
 #: A factory seed whose product reaches 3034 joint states and which ends
 #: in a real violation after five learning iterations.
@@ -70,7 +79,7 @@ def _convoy(counterexamples: int = 1):
     ).run()
 
 
-def _two_legacy_convoy():
+def _two_legacy_convoy(counterexamples: int = 1):
     return MultiLegacySynthesizer(
         None,
         [railcab.correct_front_shuttle(), railcab.correct_rear_shuttle(convoy_ticks=2)],
@@ -79,6 +88,7 @@ def _two_legacy_convoy():
             "frontShuttle": railcab.front_state_labeler,
             "rearShuttle": railcab.rear_state_labeler,
         },
+        settings=SynthesisSettings(counterexamples_per_iteration=counterexamples),
     ).run()
 
 
@@ -94,8 +104,9 @@ RUNS = {
     "two-legacy-convoy": _two_legacy_convoy,
     "large-scenario": _large_scenario,
     # Several counterexamples per failed check: each one is tested,
-    # replayed and merged in work-list order.
+    # replayed and merged in work-list order, on every slot.
     "convoy-k2": lambda: _convoy(counterexamples=2),
+    "two-legacy-convoy-k2": lambda: _two_legacy_convoy(counterexamples=2),
 }
 
 
@@ -138,6 +149,27 @@ def test_large_scenario_has_more_than_2048_states(golden):
     assert max(record["composed_states"] for record in records) > 2048
 
 
+def records_digest(result) -> str:
+    """The sha256 of a run's encoded records."""
+    text = json.dumps([encode(record) for record in result.iterations], sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def capture_digests() -> dict:
+    found = {}
+    for seed in DIGEST_SEEDS:
+        scenario = generate_scenario(seed)
+        report = integrate(scenario.architecture, scenario.components)
+        for name, result in sorted(report.placements.items()):
+            found[f"seed{seed}/{name}"] = records_digest(result)
+    return found
+
+
+def test_factory_placements_match_digests(monkeypatch):
+    monkeypatch.delenv(FAULT_SEED_ENV, raising=False)
+    assert capture_digests() == json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
 def dump(golden: dict) -> str:
     """The fixture text: one compact line per record, for readable diffs."""
     compact = {"separators": (",", ":")}
@@ -152,4 +184,5 @@ def dump(golden: dict) -> str:
 
 if __name__ == "__main__":
     FIXTURE.write_text(dump(capture()), encoding="utf-8")
-    print(f"wrote {FIXTURE}", file=sys.stderr)
+    DIGESTS.write_text(json.dumps(capture_digests(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {FIXTURE} and {DIGESTS}", file=sys.stderr)

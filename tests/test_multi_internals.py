@@ -1,13 +1,14 @@
-"""White-box tests for the multi-legacy loop's internals."""
+"""White-box tests for the n-slot loop's internals: composition,
+the joint-step matcher behind deadlock probing, and the confirmation."""
 
-import pytest
+from dataclasses import replace
 
 from repro import railcab
-from repro.automata import Automaton, Interaction, chaotic_closure, compose_all
+from repro.automata import Automaton, Interaction, Run, chaotic_closure, compose_all
 from repro.legacy import LegacyComponent
 from repro.logic import parse
-from repro.synthesis import MultiLegacySynthesizer
-from repro.synthesis.driver import _IterationScratch as _MultiScratch
+from repro.synthesis import MultiLegacySynthesizer, learn_regular, refuse
+from repro.synthesis.driver import _IterationScratch
 from repro.testing import TestCase
 
 
@@ -85,114 +86,153 @@ class TestComposition:
         assert len(state) == 3
 
 
+
+FRONT, REAR = 0, 1
+COASTING = "noConvoy::default"
+WAITING = "noConvoy::wait"
+PROPOSE = Interaction((), ("convoyProposal",))
+IDLE = Interaction()
+
+
+def teach(synthesizer, position, *steps):
+    """Merge an observed run ``(interaction, target), …`` into a slot's model."""
+    slot = synthesizer.slots[position]
+    start = next(iter(slot.model.initial))
+    slot.model = learn_regular(slot.model, Run(start, steps), labeler=slot.labeler)
+
+
+def refuse_inputs(synthesizer, position, state, inputs):
+    """Refuse every universe interaction consuming ``inputs`` at ``state``."""
+    slot = synthesizer.slots[position]
+    impossible = [i for i in slot.universe if i.inputs == frozenset(inputs)]
+    slot.model = refuse(slot.model, state, impossible)
+
+
+def expected_outputs(offers):
+    return set().union(*(set(expected) for expected in offers.values()))
+
+
+def worker_and_context():
+    """A worker that consumes ``task`` and later answers ``done``."""
+    worker = LegacyComponent(
+        Automaton(inputs={"task"}, outputs={"done"},
+                  transitions=[("i", ("task",), (), "busy"),
+                               ("i", (), (), "i"),
+                               ("busy", (), ("done",), "i")],
+                  initial=["i"]),
+        name="w",
+    )
+    context = Automaton(
+        inputs={"done"}, outputs={"task"},
+        transitions=[("c", (), ("task",), "w"), ("w", ("done",), (), "c"),
+                     ("s", (), ("task",), "dead")],
+        initial=["c"],
+    )
+    return MultiLegacySynthesizer(context, [worker], parse("AG true"))
+
+
 class TestJointStepMatcher:
-    def make(self):
-        return make_synthesizer()
+    """``_offers``: the joint steps the rest of the system offers a slot."""
 
     def test_served_pair_found(self):
-        synthesizer = self.make()
-        # Front reacts to ∅ by... idle; rear reacts to ∅ by proposing:
-        # the proposal must be consumed by the front — table entries where
-        # front consumes the proposal exist → a joint step exists.
-        tables = [
-            {  # frontShuttle reactions at noConvoy::default
-                frozenset(): frozenset(),  # idle
-                frozenset({"convoyProposal"}): frozenset(),
-                frozenset({"breakConvoyProposal"}): None,
-            },
-            {  # rearShuttle reactions at noConvoy::default
-                frozenset(): frozenset({"convoyProposal"}),
-                frozenset({"startConvoy"}): None,
-            },
-        ]
-        assert synthesizer._joint_step_exists(None, tables)
+        synthesizer = make_synthesizer()
+        teach(synthesizer, REAR, (PROPOSE, WAITING))
+        offers = synthesizer._offers(FRONT, [COASTING, COASTING], None)
+        # The rear's known proposal asks the front to consume it: a step
+        # whose other part is known.
+        assert offers[frozenset({"convoyProposal"})][frozenset()] is True
 
     def test_no_joint_step_when_outputs_unconsumed(self):
-        synthesizer = self.make()
-        tables = [
-            {frozenset({"convoyProposal"}): None},  # front deaf
-            {frozenset(): frozenset({"convoyProposal"})},  # rear insists
-        ]
-        assert not synthesizer._joint_step_exists(None, tables)
+        synthesizer = make_synthesizer()
+        refuse_inputs(synthesizer, FRONT, COASTING, {"convoyProposal"})
+        offers = synthesizer._offers(REAR, [COASTING, COASTING], None)
+        # A deaf front offers no step in which the rear proposes.
+        assert offers
+        assert frozenset({"convoyProposal"}) not in expected_outputs(offers)
 
     def test_idle_idle_counts_as_a_step(self):
-        synthesizer = self.make()
-        tables = [
-            {frozenset(): frozenset()},
-            {frozenset(): frozenset()},
-        ]
-        assert synthesizer._joint_step_exists(None, tables)
+        synthesizer = make_synthesizer()
+        teach(synthesizer, FRONT, (IDLE, COASTING))
+        offers = synthesizer._offers(REAR, [COASTING, WAITING], None)
+        assert offers[frozenset()][frozenset()] is True
 
     def test_all_blocked_means_deadlock(self):
-        synthesizer = self.make()
-        tables = [
-            {frozenset(): None},
-            {frozenset(): None},
-        ]
-        assert not synthesizer._joint_step_exists(None, tables)
+        synthesizer = make_synthesizer()
+        for position in (FRONT, REAR):
+            for inputs in {i.inputs for i in synthesizer.slots[position].universe}:
+                refuse_inputs(synthesizer, position, COASTING, inputs)
+        states = [COASTING, COASTING]
+        assert synthesizer._offers(FRONT, states, None) == {}
+        assert synthesizer._offers(REAR, states, None) == {}
+        # Nothing to probe, and everything decided.
+        scratch = _IterationScratch()
+        assert synthesizer._probe(FRONT, states, None, None, None, scratch) == (False, True)
+        assert scratch.tests == 0
 
     def test_context_offer_participates(self):
-        worker = LegacyComponent(
-            Automaton(inputs={"task"}, outputs={"done"},
-                      transitions=[("i", ("task",), (), "busy"),
-                                   ("i", (), (), "i"),
-                                   ("busy", (), ("done",), "i")],
-                      initial=["i"]),
-            name="w",
-        )
-        context = Automaton(
-            inputs={"done"}, outputs={"task"},
-            transitions=[("c", (), ("task",), "w"), ("w", ("done",), (), "c")],
-            initial=["c"],
-        )
-        synthesizer = MultiLegacySynthesizer(context, [worker], parse("AG true"))
-        # Context in state "c" offers (∅, task); worker consumes task.
-        tables = [{frozenset({"task"}): frozenset(), frozenset(): frozenset()}]
-        assert synthesizer._joint_step_exists("c", tables)
-        # Context in "w" offers only (done, ∅): the worker must produce
-        # done; with these reactions it cannot.
-        assert not synthesizer._joint_step_exists("w", tables)
+        synthesizer = worker_and_context()
+        # "c" offers (∅, task): the worker must consume task.
+        assert synthesizer._offers(0, ["i"], "c") == {frozenset({"task"}): {frozenset(): True}}
+        # "w" offers only (done, ∅): the worker must produce done.
+        assert synthesizer._offers(0, ["i"], "w") == {frozenset(): {frozenset({"done"}): True}}
 
     def test_stuck_context_never_steps(self):
-        context = Automaton(
-            inputs={"done"}, outputs={"task"},
-            transitions=[("c", (), ("task",), "dead")],
-            initial=["c"],
-        )
-        worker = LegacyComponent(
-            Automaton(inputs={"task"}, outputs={"done"},
-                      transitions=[("i", (), (), "i"), ("i", ("task",), ("done",), "i")],
-                      initial=["i"]),
-            name="w",
-        )
-        synthesizer = MultiLegacySynthesizer(context, [worker], parse("AG true"))
-        tables = [{frozenset(): frozenset()}]
-        assert not synthesizer._joint_step_exists("dead", tables)
+        synthesizer = worker_and_context()
+        assert synthesizer._offers(0, ["i"], "dead") == {}
 
 
-class TestReactionTable:
-    def test_table_probes_every_input_set(self):
-        synthesizer = make_synthesizer(
-            components=[
-                railcab.correct_front_shuttle(),
-                railcab.correct_rear_shuttle(convoy_ticks=1),
-            ]
-        )
-        slot = synthesizer.slots[1]  # the rear shuttle
-        scratch = _MultiScratch()
-        prefix = TestCase(name="empty", steps=())
-        table = synthesizer._reaction_table(slot, prefix, scratch)
-        expected_inputs = {interaction.inputs for interaction in slot.universe}
-        assert set(table) == expected_inputs
-        assert scratch.tests == len(expected_inputs)
-        # The rear shuttle at its initial state proposes on no input:
-        assert table[frozenset()] == frozenset({"convoyProposal"})
-        # …and refuses a rejection it never asked about:
-        assert table[frozenset({"convoyProposalRejected"})] is None
+class TestDeadlockConfirmation:
+    """``_test_deadlock``: test the prefix on every slot, then probe."""
 
-    def test_table_learns_into_the_model(self):
+    @staticmethod
+    def deadlock(context_state):
+        """A zero-step counterexample ending with the context in ``context_state``."""
+        return Run((context_state, None))
+
+    def test_stuck_context_is_real(self):
+        synthesizer = worker_and_context()
+        scratch = _IterationScratch()
+        cex = self.deadlock("dead")
+        synthesizer._test_deadlock(cex, scratch)
+        assert scratch.real_violation and scratch.violation == cex
+        assert scratch.tests == 1  # the prefix; nothing to probe
+
+    def test_served_offer_is_not_real(self):
+        synthesizer = worker_and_context()
+        scratch = _IterationScratch()
+        synthesizer._test_deadlock(self.deadlock("c"), scratch)
+        assert not scratch.real_violation
+        assert scratch.tests == 2  # the prefix, then one probe
+        # The probe's reaction was merged into the worker's model.
+        model = synthesizer.slots[0].model
+        assert Interaction(("task",), ()) in {t.interaction for t in model.transitions}
+        assert len(synthesizer.quarantine) == 0
+
+    def test_inconclusive_probe_is_quarantined_not_real(self, monkeypatch):
+        synthesizer = worker_and_context()
+        execute = synthesizer.robust.execute
+
+        def flaky(component, case, **kwargs):
+            outcome = execute(component, case, **kwargs)
+            if case.name.endswith("+probe"):
+                return replace(outcome, execution=None, reason="injected")
+            return outcome
+
+        monkeypatch.setattr(synthesizer.robust, "execute", flaky)
+        scratch = _IterationScratch()
+        cex = self.deadlock("c")
+        synthesizer._test_deadlock(cex, scratch)
+        assert not scratch.real_violation
+        assert scratch.inconclusive == 1
+        assert synthesizer.quarantine.pending == (cex,)
+
+    def test_probe_asks_only_for_offered_inputs(self):
         synthesizer = make_synthesizer()
-        slot = synthesizer.slots[1]
-        before = slot.model.knowledge_size()
-        synthesizer._reaction_table(slot, TestCase(name="empty", steps=()), _MultiScratch())
-        assert slot.model.knowledge_size() > before
+        teach(synthesizer, REAR, (PROPOSE, WAITING))
+        scratch = _IterationScratch()
+        prefix = TestCase(name="empty", steps=())
+        served, _ = synthesizer._probe(FRONT, [COASTING, COASTING], None, prefix, None, scratch)
+        # The front is asked about the inputs the rear's closure can
+        # send it; it consumes the known proposal, completing a step.
+        assert served
+        assert scratch.tests < len({i.inputs for i in synthesizer.slots[FRONT].universe})

@@ -33,8 +33,8 @@ class TestTwoLegacyShuttles:
         assert result.verdict is Verdict.PROVEN
         assert result.proven
         # Both models were improved in parallel.
-        assert result.learned_states("frontShuttle") >= 3
-        assert result.learned_states("rearShuttle") >= 4
+        assert len(result.final_models["frontShuttle"].states) >= 3
+        assert len(result.final_models["rearShuttle"].states) >= 4
 
     def test_ground_truth_for_two_correct_shuttles(self):
         front = railcab.correct_front_shuttle()._hidden.with_labels(
@@ -77,14 +77,14 @@ class TestTwoLegacyShuttles:
         rear = railcab.overbuilt_rear_shuttle(extra_states=10)
         result = build(front, rear).run()
         assert result.verdict is Verdict.PROVEN
-        assert result.learned_states("rearShuttle") < rear.state_bound
+        assert len(result.final_models["rearShuttle"].states) < rear.state_bound
 
     def test_knowledge_monotone_across_iterations(self):
         result = build(
             railcab.correct_front_shuttle(), railcab.correct_rear_shuttle()
         ).run()
         totals = [
-            sum(states + t + tbar for states, t, tbar in record.model_sizes)
+            record.model_states + record.model_transitions + record.model_refusals
             for record in result.iterations
         ]
         assert totals == sorted(totals)

@@ -19,6 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro import (  # noqa: E402
     IntegrationSynthesizer,
     MultiLegacySynthesizer,
+    SynthesisSettings,
     railcab,
 )
 from repro.baselines import (  # noqa: E402
@@ -104,7 +105,8 @@ def batching() -> None:
     banner("§7 optimisation: counterexamples per iteration")
     for k in (1, 3, 5):
         result = run_single(
-            railcab.correct_rear_shuttle(convoy_ticks=1), counterexamples_per_iteration=k
+            railcab.correct_rear_shuttle(convoy_ticks=1),
+            settings=SynthesisSettings(counterexamples_per_iteration=k),
         )
         print(f"  k={k}: {result.iteration_count} verification rounds, {result.total_tests} tests")
 
@@ -123,7 +125,7 @@ def multi_legacy() -> None:
     ).run()
     print(
         f"two correct   : {result.verdict.value}, {result.iteration_count} iterations, "
-        f"{result.total_tests} tests"
+        f"{result.total_tests} tests, {result.learned_states} states learned in all"
     )
     for name, model in sorted(result.final_models.items()):
         print(f"  {name}: {len(model.states)} states / {len(model.transitions)} transitions learned")
